@@ -2,8 +2,10 @@
 
 UCB selection, expected improvement, and the two posterior-sample rules
 (max of a sampled path, and probability of improvement against the max of
-a sampled path) backed by random Fourier features. Ties always break
-toward the lowest candidate index so selections are reproducible.
+a sampled path). Sample paths are drawn by decoupled pathwise conditioning:
+a random-Fourier-feature prior path corrected by an exact-kernel data
+update. Ties always break toward the lowest candidate index so selections
+are reproducible.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
 from . import gp
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 from .rng import as_generator
 
 FIXED_GRID = "fixed_grid"
@@ -149,39 +151,76 @@ def rff_features(rff: RffModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    return rff.scale * np.cos(X @ rff.frequencies.T + rff.phases)
+    # In place: a 1000-point grid at M = 2000 is a 16 MB matrix, and the
+    # temporaries of the plain expression would double the peak.
+    out = X @ rff.frequencies.T
+    out += rff.phases
+    np.cos(out, out=out)
+    out *= rff.scale
+    return out
 
 
-def sample_posterior_path(state: gp.GpState, rff: RffModel, seed) -> np.ndarray:
-    """Draw feature weights from the Bayesian linear-model posterior.
+def sample_posterior_path(state: gp.GpState, features: np.ndarray,
+                          obs_rows: np.ndarray, V: np.ndarray, seed) -> np.ndarray:
+    """Values at the candidates of one posterior sample path.
 
-    Prior N(0, I) over weights, Gaussian noise with the state's variance.
-    Sampled by pathwise conditioning: a prior weight draw corrected through
-    an n x n solve against the observed features, which is exact and avoids
-    factorizing the M x M posterior covariance. With no observations the
-    draw is the N(0, I) prior.
+    Decoupled pathwise conditioning (Wilson et al. 2020, "Efficiently
+    Sampling Functions from GP Posteriors"): a random-feature prior path
+    f0 = phi w0 is corrected by an exact-kernel data update,
+
+        f = f0(cand) + V^T L^-1 (y - f0(X) - eps),   V = L^-1 K(X, cand),
+
+    with w0 ~ N(0, I_M) drawn first and eps ~ N(0, sigma^2 I_n) second.
+    The update uses the exact kernel, so the path's mean is the exact
+    posterior mean; only the prior path's covariance carries the feature
+    approximation. With no observations the path is the prior path.
+
+    Parameters
+    ----------
+    state : GpState
+        Observations X, y and the Cholesky factor L of K(X, X) + sigma^2 I.
+    features : ndarray, shape (r, M)
+        phi over a point set whose first m = V.shape[1] rows are the
+        candidates; the observed inputs are among its rows.
+    obs_rows : ndarray of int, shape (n,)
+        Row of ``features`` for each observed input, in observation order.
+    V : ndarray, shape (n, m)
+    seed : int or numpy Generator
     """
     rng = as_generator(seed)
-    w0 = rng.standard_normal(rff.num_features)
+    prior = features @ rng.standard_normal(features.shape[1])
+    m = V.shape[1]
     n = state.n_obs
     if n == 0:
-        return w0
-    phi = rff_features(rff, state.inputs)  # (n, M)
+        return prior[:m]
     eps = rng.standard_normal(n) * math.sqrt(state.noise_variance)
-    gram = phi @ phi.T + state.noise_variance * np.eye(n)
-    try:
-        factor = cho_factor(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"feature Gram factorization failed: {exc}") from exc
-    resid = state.outputs - phi @ w0 - eps
-    return w0 + phi.T @ cho_solve(factor, resid, check_finite=False)
+    resid = state.outputs - prior[obs_rows] - eps
+    return prior[:m] + V.T @ solve_triangular(state.chol, resid, lower=True,
+                                              check_finite=False)
+
+
+def path_inputs(state: gp.GpState, rff: RffModel,
+                pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sample_posterior_path`` inputs for arbitrary candidate points.
+
+    Features of the candidates stacked over the observed inputs, the rows of
+    the latter, and V = L^-1 K(X, pts). Callers holding these for a fixed
+    grid pass them directly instead.
+    """
+    m, n = pts.shape[0], state.n_obs
+    features = rff_features(rff, np.vstack([pts, state.inputs]))
+    if n:
+        V = solve_triangular(state.chol, gp.kernel_matrix(state.kernel, state.inputs, pts),
+                             lower=True, check_finite=False)
+    else:
+        V = np.empty((0, m))
+    return features, np.arange(m, m + n), V
 
 
 def ts_select(state: gp.GpState, rff: RffModel, candidates, seed) -> int:
     """Argmax of one posterior sample path over the candidates."""
     pts = _points_of(candidates)
-    weights = sample_posterior_path(state, rff, seed)
-    return int(np.argmax(rff_features(rff, pts) @ weights))
+    return int(np.argmax(sample_posterior_path(state, *path_inputs(state, rff, pts), seed)))
 
 
 def pims_select(state: gp.GpState, rff: RffModel, candidates, seed) -> int:
@@ -192,8 +231,7 @@ def pims_select(state: gp.GpState, rff: RffModel, candidates, seed) -> int:
     score 1 when mu clears the threshold and 0 otherwise.
     """
     pts = _points_of(candidates)
-    weights = sample_posterior_path(state, rff, seed)
-    f_star = float(np.max(rff_features(rff, pts) @ weights))
+    f_star = float(np.max(sample_posterior_path(state, *path_inputs(state, rff, pts), seed)))
     mean, var = gp.posterior_batch(state, pts)
     return int(np.argmax(pims_scores(mean, var, f_star)))
 

@@ -8,7 +8,10 @@ complete per-iteration trace comes back for analysis.
 For a fixed candidate set the posterior moments over all candidates are
 maintained incrementally alongside the state's Cholesky factor, which
 turns the per-iteration cost from O(n^2 m) into O(n m); a test replays
-traces through the batch posterior to confirm the two paths agree.
+traces through the batch posterior to confirm the two paths agree. The
+posterior-sample rules reuse that cache: the grid's random features are
+computed once per feature draw, and each sample path is a prior path
+corrected through the cached V and the state's Cholesky factor.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .acquisition import (
     RffModel,
     build_rff,
     expected_improvement,
+    path_inputs,
     pims_scores,
     rff_features,
     sample_posterior_path,
@@ -315,11 +319,22 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
         init_y[i] = f_i + noise_rng.standard_normal() * instance.noise_stddev
         state = gp.incremental_update(state, init_x[i], init_y[i])
 
+    fixed_pts = instance.candidates.points
     rff: RffModel | None = None
     if kind in ("ts", "pims"):
         rff = build_rff(kernel, config.acquisition.num_features, feat_rng)
+        if not per_iteration:
+            # Sample paths need the prior path at the candidates and at the
+            # observed inputs: the initial design (grid rows, or extra rows
+            # stacked below the grid) followed by the selected grid rows.
+            # Their features are computed once per feature draw.
+            if init_idx is not None:
+                path_pts, init_rows = fixed_pts, init_idx
+            else:
+                path_pts = np.vstack([fixed_pts, init_x])
+                init_rows = len(fixed_pts) + np.arange(n_init)
+            path_features = rff_features(rff, path_pts)
 
-    fixed_pts = instance.candidates.points
     cache = None if per_iteration else _MomentCache(state, fixed_pts, T + n_init + 1)
 
     sel_idx = np.empty(T, dtype=int)
@@ -350,6 +365,8 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                     cache = _MomentCache(state, fixed_pts, T + n_init + 1)
                 if rff is not None:
                     rff = build_rff(kernel, config.acquisition.num_features, feat_rng)
+                    if not per_iteration:
+                        path_features = rff_features(rff, path_pts)
 
             if per_iteration:
                 pts = cand_rng.random((resample_count, instance.candidates.dim))
@@ -369,13 +386,17 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
             elif kind == "ei":
                 incumbent = float(np.max(state.outputs)) if state.n_obs else 0.0
                 idx = int(np.argmax(expected_improvement(mean, var, incumbent)))
-            elif kind == "ts":
-                weights = sample_posterior_path(state, rff, path_rng)
-                idx = int(np.argmax(rff_features(rff, pts) @ weights))
-            else:  # pims
-                weights = sample_posterior_path(state, rff, path_rng)
-                f_star = float(np.max(rff_features(rff, pts) @ weights))
-                idx = int(np.argmax(pims_scores(mean, var, f_star)))
+            else:  # ts, pims
+                if per_iteration:
+                    inputs = path_inputs(state, rff, pts)
+                else:
+                    obs_rows = np.concatenate([init_rows, sel_idx[: t - 1]])
+                    inputs = (path_features, obs_rows, cache.V[: cache.n])
+                path = sample_posterior_path(state, *inputs, path_rng)
+                if kind == "ts":
+                    idx = int(np.argmax(path))
+                else:
+                    idx = int(np.argmax(pims_scores(mean, var, float(np.max(path)))))
 
             x_t = pts[idx]
             f_t = _true_value(instance, idx, x_t)

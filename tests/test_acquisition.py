@@ -1,4 +1,4 @@
-"""Tests for UCB/EI selection and the random-feature posterior sampler."""
+"""Tests for UCB/EI selection and the decoupled posterior path sampler."""
 
 import math
 
@@ -175,12 +175,23 @@ class TestBuildRff:
             acq.build_rff(gp.ExplicitKernel(np.eye(2)), 10, 0)
 
 
+def draw_paths(state, rff, pts, count, seed=0):
+    """``count`` sample paths at ``pts`` from one generator, one row each."""
+    inputs = acq.path_inputs(state, rff, np.asarray(pts, dtype=float))
+    rng = np.random.default_rng(seed)
+    return np.stack([acq.sample_posterior_path(state, *inputs, rng) for _ in range(count)])
+
+
 class TestSamplePosteriorPath:
     def test_empty_state_prior_weights(self):
+        # With no data the path is phi(cand) w0; 16 probes give phi full
+        # column rank at M = 8, so the weights are recovered exactly.
         rff = acq.build_rff(SE(1), 8, seed=0)
         state = gp.empty_state(SE(1), 1e-4)
-        draws = np.stack([acq.sample_posterior_path(state, rff, s) for s in range(10000)])
-        var = draws.var(axis=0, ddof=1)
+        probes = np.linspace(-2.0, 2.0, 16)[:, None]
+        draws = draw_paths(state, rff, probes, 10000)
+        weights = np.linalg.lstsq(acq.rff_features(rff, probes), draws.T, rcond=None)[0]
+        var = weights.var(axis=1, ddof=1)
         assert np.all(var > 0.94) and np.all(var < 1.06)
 
     def test_prior_path_variance_matches_approximate_kernel(self):
@@ -190,19 +201,64 @@ class TestSamplePosteriorPath:
         probe = np.array([[0.3, -0.2]])
         phi = acq.rff_features(rff, probe)[0]
         khat = float(phi @ phi)
-        vals = np.array([
-            float(phi @ acq.sample_posterior_path(state, rff, s)) for s in range(10000)
-        ])
+        vals = draw_paths(state, rff, probe, 10000)[:, 0]
         assert vals.var(ddof=1) == pytest.approx(khat, abs=0.05)
 
     def test_near_interpolation_at_tiny_noise(self):
         kernel = SE(1)
         rff = acq.build_rff(kernel, 2000, seed=4)
         state = gp.batch_state(kernel, [[0.3]], [1.7], 1e-8)
-        phi = acq.rff_features(rff, np.array([[0.3]]))
         for seed in range(100):
-            w = acq.sample_posterior_path(state, rff, seed)
-            assert abs(float((phi @ w)[0]) - 1.7) < 0.01
+            [[val]] = draw_paths(state, rff, [[0.3]], 1, seed=seed)
+            assert abs(val - 1.7) < 0.01
+
+    def test_formula_and_draw_order(self):
+        # f = phi(cand) w0 + K(cand, X) (K + noise I)^-1 (y - phi(X) w0 - eps),
+        # with w0 (M normals) drawn before eps (n normals) from one stream.
+        kernel = SE(1, ell=0.5)
+        rff = acq.build_rff(kernel, 32, seed=1)
+        noise = 1e-2
+        X, y = np.array([[-0.4], [0.5]]), np.array([0.3, -1.1])
+        state = gp.batch_state(kernel, X, y, noise)
+        pts = np.linspace(-1.0, 1.0, 7)[:, None]
+        rng = np.random.default_rng(11)
+        w0 = rng.standard_normal(32)
+        eps = rng.standard_normal(2) * math.sqrt(noise)
+        gain = np.linalg.solve(gp.kernel_matrix(kernel, X) + noise * np.eye(2),
+                               gp.kernel_matrix(kernel, X, pts)).T
+        expected = (acq.rff_features(rff, pts) @ w0
+                    + gain @ (y - acq.rff_features(rff, X) @ w0 - eps))
+        np.testing.assert_allclose(draw_paths(state, rff, pts, 1, seed=11)[0], expected,
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_monte_carlo_moments_match_exact_posterior(self):
+        # The data update uses the exact kernel, so the path mean is the
+        # exact posterior mean at any feature count. The weight-space
+        # sampler this replaced (phi(cand) times a draw from the feature
+        # model's weight posterior) fails this check at M = 256: its mean
+        # misses posterior_batch by up to 0.21 here, about 30 SE.
+        kernel = SE(1, ell=0.5)
+        rff = acq.build_rff(kernel, 256, seed=0)
+        noise = 1e-2
+        X = np.array([[-1.0], [0.2], [1.1]])
+        state = gp.batch_state(kernel, X, [0.8, -0.5, 1.3], noise)
+        pts = np.linspace(-2.0, 2.0, 25)[:, None]
+        draws = draw_paths(state, rff, pts, 20000, seed=7)
+        mean, var = gp.posterior_batch(state, pts)
+        se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4.0 * se)
+        # Variance: exact up to the feature approximation of the prior path
+        # (k_hat(x, x) - 1 has sd 1/sqrt(2M) = 0.044 per point) ...
+        path_var = draws.var(axis=0, ddof=1)
+        np.testing.assert_allclose(path_var, var, atol=0.15)
+        # ... and, to Monte-Carlo error (sd about 1% of the variance), the
+        # sampler's own covariance: f = B w0 - G eps + G y with
+        # G = K(cand, X) (K + noise I)^-1 and B = phi(cand) - G phi(X).
+        G = np.linalg.solve(gp.kernel_matrix(kernel, X) + noise * np.eye(3),
+                            gp.kernel_matrix(kernel, X, pts)).T
+        B = acq.rff_features(rff, pts) - G @ acq.rff_features(rff, X)
+        expected = np.sum(B * B, axis=1) + noise * np.sum(G * G, axis=1)
+        np.testing.assert_allclose(path_var, expected, rtol=0.05, atol=1e-6)
 
 
 class TestTsSelect:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from randbo import gp
-from randbo.acquisition import CandidateSet
+from randbo.acquisition import CandidateSet, build_rff, pims_select, ts_select
 from randbo.analysis import CounterexampleSampler
 from randbo.confidence import Constant, ShiftedExpFinite, next_confidence
 from randbo.engine import (
@@ -18,7 +18,15 @@ from randbo.engine import (
     run_replications,
 )
 from randbo.errors import ConfigurationError, NumericalError
-from randbo.rng import CONFIDENCE, INSTANCE, NOISE, substream
+from randbo.rng import (
+    CANDIDATES,
+    CONFIDENCE,
+    FEATURES,
+    INSTANCE,
+    NOISE,
+    PATHS,
+    substream,
+)
 
 
 def se(dim, ell=0.4):
@@ -207,6 +215,68 @@ class TestObjectiveMode:
             ProblemInstance.finite(cands, [0.0, 1.0], 0.0)
 
 
+class TestSamplePathRoute:
+    """run_bo's cached grid features and moment-cache V against the plain route.
+
+    The replay feeds ts_select / pims_select, which build every sampler
+    input from scratch, the same FEATURES and PATHS substreams and the
+    same observations; each selection must match the engine's. Refits
+    and per-iteration candidate draws are mirrored, so the features drawn
+    after each refit and the per-iteration route are checked too.
+    """
+
+    @staticmethod
+    def replay(instance, cfg, trace, seed):
+        select = ts_select if cfg.acquisition.kind == "ts" else pims_select
+        feat_rng = substream(seed, 0, FEATURES)
+        rff = build_rff(cfg.kernel, cfg.acquisition.num_features, feat_rng)
+        path_rng = substream(seed, 0, PATHS)
+        cand_rng = substream(seed, 0, CANDIDATES)
+        cands = instance.candidates
+        state = gp.empty_state(cfg.kernel, cfg.noise_variance)
+        for x, y in zip(trace.initial_x, trace.initial_y):
+            state = gp.incremental_update(state, x, y)
+        picks = []
+        for t, (x, y) in enumerate(zip(trace.selected_x, trace.observed_y)):
+            if cfg.refit_period is not None and t % cfg.refit_period == 0:
+                kernel = gp.fit_hyperparameters(state.inputs, state.outputs,
+                                                list(cfg.refit_grid), cfg.noise_variance)
+                state = gp.batch_state(kernel, state.inputs, state.outputs, cfg.noise_variance)
+                rff = build_rff(kernel, cfg.acquisition.num_features, feat_rng)
+            if cands.provenance == "per_iteration_random":
+                pts = cand_rng.random((cands.resample_count, cands.dim))
+            else:
+                pts = cands.points
+            picks.append(select(state, rff, pts, path_rng))
+            state = gp.incremental_update(state, x, y)
+        return np.array(picks)
+
+    @pytest.mark.parametrize("kind", ["ts", "pims"])
+    @pytest.mark.parametrize("case", ["grid_design", "offgrid_design", "refit",
+                                      "per_iteration"])
+    def test_engine_matches_standalone_sampler(self, kind, case):
+        if case in ("offgrid_design", "per_iteration"):
+            # Objective mode: the initial design is drawn off the candidates;
+            # on a fixed grid its features sit in extra rows below the grid's.
+            pts = np.random.default_rng(5).random((30, 2))
+            provenance = "fixed_grid" if case == "offgrid_design" else "per_iteration_random"
+            inst = ProblemInstance(CandidateSet(pts, provenance, resample_count=30),
+                                   noise_stddev=0.05, objective=_objective,
+                                   optimum_value=0.0)
+        else:
+            inst = random_instance(5, m=30)
+        refit = {}
+        if case == "refit":
+            refit = dict(refit_period=5, refit_grid=(se(2, ell=0.2), se(2, ell=0.4)))
+        cfg = RunConfig(kernel=se(2), horizon=15, noise_variance=1e-3, initial_design=3,
+                        acquisition=AcquisitionSpec(kind, num_features=128), **refit)
+        for seed in (3, 4):
+            trace = run_bo(inst, cfg, seed)
+            np.testing.assert_array_equal(trace.selected_index,
+                                          self.replay(inst, cfg, trace, seed))
+            assert len(set(trace.selected_index.tolist())) > 1
+
+
 def _bad_instance(rep, rng):
     return ProblemInstance.finite(CandidateSet([[0.0]]), [float("nan")], 0.0)
 
@@ -243,12 +313,17 @@ class TestRunReplications:
 
     def test_parallel_matches_serial(self):
         sampler = FixedInstanceSampler(random_instance(2))
-        cfg = ucb_config(6, 20)
-        serial = run_replications(sampler, cfg, 6, 5, n_jobs=1)
-        parallel = run_replications(sampler, cfg, 6, 5, n_jobs=2)
-        for ta, tb in zip(serial, parallel):
-            np.testing.assert_array_equal(ta.observed_y, tb.observed_y)
-            np.testing.assert_array_equal(ta.selected_index, tb.selected_index)
+        configs = [ucb_config(6, 20)] + [
+            RunConfig(kernel=se(2), horizon=6, noise_variance=1e-3, initial_design=2,
+                      acquisition=AcquisitionSpec(kind, num_features=64))
+            for kind in ("ts", "pims")
+        ]
+        for cfg in configs:
+            serial = run_replications(sampler, cfg, 6, 5, n_jobs=1)
+            parallel = run_replications(sampler, cfg, 6, 5, n_jobs=2)
+            for ta, tb in zip(serial, parallel):
+                np.testing.assert_array_equal(ta.observed_y, tb.observed_y)
+                np.testing.assert_array_equal(ta.selected_index, tb.selected_index)
 
     def test_ts_first_pick_balanced_across_replications(self):
         # Two effectively independent candidates under the prior: the first
