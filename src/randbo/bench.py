@@ -4,6 +4,11 @@ Synthetic instances drawn from the surrogate prior on a finite grid,
 analytic benchmark functions on continuous domains (negated so every
 problem is a maximization), and CSV ingestion for finite-domain problems
 built from tabular measurement data.
+
+A synthetic study redraws the objective on one grid per replication. The
+grid's prior Gram is factored once per process (``gp.prior_data``), so
+each draw is one mat-vec of that factor with fresh standard normals, bit
+for bit what ``gp.sample_prior`` returns for the same generator.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from . import gp
 from .acquisition import PER_ITERATION_RANDOM, CandidateSet
 from .engine import ProblemInstance
 from .errors import ConfigurationError, DomainError, IngestionError
+from .rng import as_generator
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,14 @@ class GridSpec:
 
 def make_synthetic_instance(kernel: gp.Kernel, grid: GridSpec, noise_stddev: float,
                             seed) -> ProblemInstance:
-    """Finite instance whose objective is one prior draw over the grid."""
+    """Finite instance whose objective is one prior draw over the grid.
+
+    The draw uses the grid's cached prior factor and equals
+    ``gp.sample_prior(kernel, grid.points(), seed)``.
+    """
     pts = grid.points()
-    values = gp.sample_prior(kernel, pts, seed)
+    factor = gp.prior_data(kernel, pts, factor=True).factor
+    values = factor @ as_generator(seed).standard_normal(pts.shape[0])
     return ProblemInstance.finite(
         CandidateSet(pts), values, noise_stddev,
         metadata={"generator": "gp_prior", "grid_size": grid.size},
@@ -73,7 +84,10 @@ def make_synthetic_instance(kernel: gp.Kernel, grid: GridSpec, noise_stddev: flo
 
 @dataclass(frozen=True)
 class SyntheticInstanceSampler:
-    """Draws a fresh prior-sample objective on the same grid per replication."""
+    """Draws a fresh prior-sample objective on the same grid per replication.
+
+    Every replication shares the grid's cached prior factor.
+    """
 
     kernel: gp.Kernel
     grid: GridSpec

@@ -9,9 +9,18 @@ For a fixed candidate set the posterior moments over all candidates are
 maintained incrementally alongside the state's Cholesky factor, which
 turns the per-iteration cost from O(n^2 m) into O(n m); a test replays
 traces through the batch posterior to confirm the two paths agree. The
-posterior-sample rules reuse that cache: the grid's random features are
-computed once per feature draw, and each sample path is a prior path
-corrected through the cached V and the state's Cholesky factor.
+prior diagonal and each appended observation's Gram row are read from the
+process-level prior Gram of the grid (``gp.prior_data``), computed once per
+(kernel, grid) and shared by every replication and every refit that lands
+on the same kernel. The posterior-sample rules reuse the cache: the grid's
+random features are computed once per feature draw, and each sample path
+is a prior path corrected through the cached V and the state's Cholesky
+factor. On per-iteration candidates V is solved once per iteration and
+feeds both the moments and the sample path.
+
+``run_replications`` draws each replication's instance first; on a fixed
+grid the synthetic sampler's draw is a mat-vec with the grid's cached prior
+factor (see ``bench.SyntheticInstanceSampler``).
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import gp
 from .acquisition import (
@@ -203,24 +211,20 @@ class _MomentCache:
 
     Maintains V = L^-1 K(obs, cand) one row per observation; means and
     variances follow from column inner products and are updated in O(m)
-    per appended row.
+    per appended row. The prior variances and the Gram row of each appended
+    candidate come from the cached prior Gram of (kernel, candidates).
     """
 
     def __init__(self, state: gp.GpState, cand_pts: np.ndarray, capacity: int):
         m = cand_pts.shape[0]
-        self.pts = cand_pts
-        self.prior = gp.kernel_diag(state.kernel, cand_pts)
+        self.gram = gp.prior_data(state.kernel, cand_pts).gram
+        self.prior = np.diagonal(self.gram)
         self.V = np.empty((capacity, m))
         self.mean = np.zeros(m)
         self.varsum = np.zeros(m)
         self.n = state.n_obs
         if state.n_obs:
-            V0 = solve_triangular(
-                state.chol,
-                gp.kernel_matrix(state.kernel, state.inputs, cand_pts),
-                lower=True,
-                check_finite=False,
-            )
+            V0 = gp.cross_solve(state, cand_pts)
             self.V[: state.n_obs] = V0
             self.mean = V0.T @ state.half_targets
             self.varsum = np.einsum("ij,ij->j", V0, V0)
@@ -229,12 +233,12 @@ class _MomentCache:
         """L^-1 k(observations, candidate idx): column idx of V."""
         return self.V[: self.n, idx]
 
-    def append(self, new_state: gp.GpState, x_new: np.ndarray) -> None:
+    def append(self, new_state: gp.GpState, idx: int) -> None:
+        """Add the row of the observation just made at candidate ``idx``."""
         n = self.n
         l_row = new_state.chol[n, :n]
         pivot = new_state.chol[n, n]
-        k_row = gp.kernel_matrix(new_state.kernel, x_new[None, :], self.pts)[0]
-        v = (k_row - l_row @ self.V[:n]) / pivot
+        v = (self.gram[idx] - l_row @ self.V[:n]) / pivot
         self.V[n] = v
         self.mean += v * new_state.half_targets[n]
         self.varsum += v * v
@@ -370,7 +374,10 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
 
             if per_iteration:
                 pts = cand_rng.random((resample_count, instance.candidates.dim))
-                mean, var = gp.posterior_batch(state, pts)
+                # Sample paths reuse the moments' solve V; the closed-form
+                # rules let posterior_batch solve and free it.
+                V = gp.cross_solve(state, pts) if rff is not None else None
+                mean, var = gp.posterior_batch(state, pts, V)
             else:
                 pts = fixed_pts
                 mean, var = cache.moments()
@@ -388,7 +395,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 idx = int(np.argmax(expected_improvement(mean, var, incumbent)))
             else:  # ts, pims
                 if per_iteration:
-                    inputs = path_inputs(state, rff, pts)
+                    inputs = path_inputs(state, rff, pts, V)
                 else:
                     obs_rows = np.concatenate([init_rows, sel_idx[: t - 1]])
                     inputs = (path_features, obs_rows, cache.V[: cache.n])
@@ -416,7 +423,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 # column of V, so the update needs no triangular solve.
                 new_state = gp.incremental_update(state, x_t, y_t,
                                                   l_row=cache.solve_row(idx))
-                cache.append(new_state, x_t)
+                cache.append(new_state, idx)
             else:
                 new_state = gp.incremental_update(state, x_t, y_t)
             state = new_state

@@ -6,6 +6,14 @@ given directly), incremental posterior updates through rank-one Cholesky
 extension, joint prior sampling on a grid, and the log marginal likelihood
 used for grid-search hyperparameter selection.
 
+Studies that redraw the objective on one fixed grid share one kernel and
+one point set across every replication, so ``prior_data`` keeps a
+process-level LRU cache of the read-only prior Gram K(grid, grid) per
+(kernel, point set), plus its jitter-escalated lower Cholesky factor,
+built on first use. A prior draw is then one mat-vec with the factor and a
+Gram row is a lookup. ``sample_prior`` stays uncached; it shares the
+factorization helper.
+
 States are value-semantic: ``incremental_update`` returns a new state and
 never mutates the old one. Successive states along one history share a
 growable backing buffer, so a T-step run costs O(T^3) total instead of
@@ -15,7 +23,8 @@ O(T^4); forking a state (updating a non-tip state twice) silently copies.
 from __future__ import annotations
 
 import math
-import threading
+import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +44,11 @@ KERNEL_FAMILIES = (SQUARED_EXPONENTIAL, MATERN52, MATERN32)
 # Dense grids with short lengthscales produce near-singular Gram matrices.
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
+
+# Bytes of cached prior Grams and factors held per process (see prior_data);
+# least recently used entries are evicted beyond it. A 1000-point grid's
+# Gram and factor take 16 MB together.
+PRIOR_CACHE_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -184,12 +198,12 @@ class _Buffer:
     """Append-only backing store shared by successive states of one history.
 
     Rows below ``size`` are immutable once written, so older states reading
-    their prefix views are never affected by later appends. The lock only
-    guards the append slot check, keeping concurrent updates from two
-    threads on the same tip state value-safe.
+    their prefix views are never affected by later appends. An append to a
+    state that is not the tip (``size`` has moved past it) copies the prefix
+    first. Not thread-safe: replications run in separate processes.
     """
 
-    __slots__ = ("x", "y", "chol", "wy", "size", "lock")
+    __slots__ = ("x", "y", "chol", "wy", "size")
 
     def __init__(self, dim: int, capacity: int):
         capacity = max(capacity, 8)
@@ -198,7 +212,6 @@ class _Buffer:
         self.chol = np.zeros((capacity, capacity))
         self.wy = np.empty(capacity)
         self.size = 0
-        self.lock = threading.Lock()
 
     @property
     def capacity(self) -> int:
@@ -334,32 +347,48 @@ def incremental_update(state: GpState, x, y: float, l_row=None) -> GpState:
     pivot = math.sqrt(pivot_sq)
 
     buf = state._buf
-    with buf.lock:
-        if buf.size != n or n >= buf.capacity:
-            buf = buf.copy_prefix(n, extra=1)
-        row = buf.size
-        buf.x[row] = x
-        buf.y[row] = y
-        if n:
-            buf.chol[row, :n] = l_row
-        buf.chol[row, row] = pivot
-        buf.wy[row] = (y - wy_dot) / pivot
-        buf.size = row + 1
+    if buf.size != n or n >= buf.capacity:
+        buf = buf.copy_prefix(n, extra=1)
+    row = buf.size
+    buf.x[row] = x
+    buf.y[row] = y
+    if n:
+        buf.chol[row, :n] = l_row
+    buf.chol[row, row] = pivot
+    buf.wy[row] = (y - wy_dot) / pivot
+    buf.size = row + 1
     return GpState(state.kernel, state.noise_variance, buf, n + 1)
 
 
-def posterior_batch(state: GpState, X) -> tuple[np.ndarray, np.ndarray]:
+def cross_solve(state: GpState, X) -> np.ndarray:
+    """V = L^-1 k(inputs, X), shape (n_obs, len(X)).
+
+    The posterior moments and the data update of a sample path at X both
+    derive from it; a caller needing both solves once.
+    """
+    X = _as_points(X, state.dim)
+    if state.n_obs == 0:
+        return np.empty((0, X.shape[0]))
+    return solve_triangular(state.chol, kernel_matrix(state.kernel, state.inputs, X),
+                            lower=True, check_finite=False)
+
+
+def posterior_batch(state: GpState, X, V=None) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances at each row of X.
 
     With no observations this is the prior: zero mean, k(x, x) variance.
-    Variances are clipped at zero to absorb roundoff.
+    Variances are clipped at zero to absorb roundoff. ``V`` optionally
+    supplies ``cross_solve(state, X)``, which callers that also need it for
+    a sample path already hold.
     """
     X = _as_points(X, state.dim)
     prior = kernel_diag(state.kernel, X)
     if state.n_obs == 0:
         return np.zeros(X.shape[0]), prior
-    Kxo = kernel_matrix(state.kernel, state.inputs, X)
-    V = solve_triangular(state.chol, Kxo, lower=True, check_finite=False)
+    if V is None:
+        V = cross_solve(state, X)
+    elif V.shape != (state.n_obs, X.shape[0]):
+        raise ConfigurationError("V must have one row per observation and one column per point")
     mean = V.T @ state.half_targets
     var = prior - np.einsum("ij,ij->j", V, V)
     return mean, np.maximum(var, 0.0)
@@ -369,6 +398,47 @@ def posterior(state: GpState, x) -> PosteriorStats:
     """Posterior mean and variance of f at a single point."""
     mean, var = posterior_batch(state, np.atleast_1d(x)[None, :])
     return PosteriorStats(float(mean[0]), float(var[0]))
+
+
+def _jittered_cholesky(K: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K plus the smallest escalated diagonal jitter.
+
+    The jitter starts at ``JITTER_START * scale`` and grows x10 per failed
+    attempt; past ``JITTER_MAX * scale`` it raises NumericalError. Each
+    attempt writes diag(K) + jitter onto K's diagonal in place, the same
+    matrix as ``K + jitter * I`` without m x m temporaries, and K's diagonal
+    is restored before returning. Escalation past the start value is
+    reported by one warning. Returns the factor and the jitter it ended at.
+    """
+    m = K.shape[0]
+    diag = K.diagonal().copy()
+    jitter = JITTER_START * scale
+    while True:
+        K.flat[:: m + 1] = diag + jitter
+        try:
+            L = np.linalg.cholesky(K)
+            break
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+            if jitter > JITTER_MAX * scale:
+                raise NumericalError(
+                    f"prior Gram not factorizable within jitter cap {JITTER_MAX * scale:.1e}"
+                )
+    K.flat[:: m + 1] = diag
+    if jitter > JITTER_START * scale:
+        warnings.warn(
+            f"prior Gram of {m} points needed diagonal jitter {jitter:.1e} to factorize",
+            RuntimeWarning, stacklevel=3,
+        )
+    return L, jitter
+
+
+def _check_candidates(kernel: Kernel, candidates) -> np.ndarray:
+    dim = 1 if isinstance(kernel, ExplicitKernel) else kernel.dim
+    X = _as_points(candidates, dim)
+    if X.shape[0] == 0:
+        raise ConfigurationError("candidate set must be non-empty")
+    return X
 
 
 def sample_prior(kernel: Kernel, candidates, seed) -> np.ndarray:
@@ -386,28 +456,97 @@ def sample_prior(kernel: Kernel, candidates, seed) -> np.ndarray:
 
     Deterministic given the seed. The Gram matrix gets escalating diagonal
     jitter before factorization; exhausting the escalation raises
-    NumericalError.
+    NumericalError. Nothing is cached: a draw on a point set reused across
+    draws is ``prior_data(kernel, points, factor=True).factor`` times
+    standard normals, bit for bit the same as this.
     """
-    dim = 1 if isinstance(kernel, ExplicitKernel) else kernel.dim
-    X = _as_points(candidates, dim)
-    if X.shape[0] == 0:
-        raise ConfigurationError("candidate set must be non-empty")
+    X = _check_candidates(kernel, candidates)
     rng = as_generator(seed)
     K = kernel_matrix(kernel, X)
-    sv = float(np.max(kernel_diag(kernel, X)))
-    jitter = JITTER_START * sv
-    eye = np.eye(X.shape[0])
-    while True:
-        try:
-            L = np.linalg.cholesky(K + jitter * eye)
-            break
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-            if jitter > JITTER_MAX * sv:
-                raise NumericalError(
-                    f"prior Gram not factorizable within jitter cap {JITTER_MAX * sv:.1e}"
-                )
+    L, _ = _jittered_cholesky(K, float(np.max(kernel_diag(kernel, X))))
     return L @ rng.standard_normal(X.shape[0])
+
+
+@dataclass
+class PriorData:
+    """Prior covariance data of one (kernel, point set), read-only.
+
+    ``gram`` is K(points, points). ``factor`` is the jitter-escalated lower
+    Cholesky factor of ``gram`` and ``jitter`` the diagonal jitter it ended
+    at; both are None until a caller asks for the factor.
+    """
+
+    gram: np.ndarray
+    factor: np.ndarray | None = None
+    jitter: float | None = None
+
+    @property
+    def nbytes(self) -> int:
+        return self.gram.nbytes + (0 if self.factor is None else self.factor.nbytes)
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _PriorCache:
+    """LRU map from (kernel, point set) to PriorData, capped by PRIOR_CACHE_BYTES.
+
+    An entry larger than the cap on its own is handed out but not kept.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self.held_bytes = 0
+
+    def get(self, kernel: Kernel, X: np.ndarray, factor: bool) -> PriorData:
+        if isinstance(kernel, ExplicitKernel):
+            key = ("explicit", kernel.cov.tobytes(), X.shape, X.tobytes())
+        else:
+            key = (kernel.family, kernel.lengthscales.tobytes(), kernel.signal_variance,
+                   X.shape, X.tobytes())
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            entry = PriorData(kernel_matrix(kernel, X))
+        else:
+            self.held_bytes -= entry.nbytes
+        if factor and entry.factor is None:
+            # A Gram no caller holds yet is factored in place; a shared one
+            # through a copy. In place keeps the held arrays contiguous in
+            # memory instead of pinning a freed copy between them.
+            K = entry.gram if entry.gram.flags.writeable else entry.gram.copy()
+            L, entry.jitter = _jittered_cholesky(K, float(np.max(np.diagonal(K))))
+            entry.factor = _readonly(L)
+        _readonly(entry.gram)
+        if entry.nbytes <= PRIOR_CACHE_BYTES:
+            self._entries[key] = entry
+            self.held_bytes += entry.nbytes
+            while self.held_bytes > PRIOR_CACHE_BYTES:
+                _, old = self._entries.popitem(last=False)
+                self.held_bytes -= old.nbytes
+        return entry
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.held_bytes = 0
+
+
+_PRIOR_CACHE = _PriorCache()
+
+
+def prior_data(kernel: Kernel, points, factor: bool = False) -> PriorData:
+    """Cached prior Gram over ``points``, with its factor when ``factor`` is set.
+
+    Every replication of a study on one fixed grid shares the kernel and
+    the points, so the m x m Gram is computed, and factored, once per
+    process instead of once per replication. Entries are keyed by the
+    kernel's family, lengthscales and signal variance (an explicit kernel
+    by its covariance) and the points' shape and bytes. The factor uses the
+    same jitter escalation as ``sample_prior`` and is bit-identical to it.
+    """
+    X = np.ascontiguousarray(_check_candidates(kernel, points))
+    return _PRIOR_CACHE.get(kernel, X, factor)
 
 
 def log_marginal_likelihood(state: GpState) -> float:

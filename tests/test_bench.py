@@ -1,11 +1,14 @@
 """Tests for problem generators: prior-sample instances, analytic
 benchmarks, and tabular ingestion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from randbo import bench, gp
 from randbo.errors import ConfigurationError, DomainError, IngestionError
+from randbo.rng import INSTANCE, substream
 
 
 class TestGridSpec:
@@ -54,6 +57,31 @@ class TestSyntheticInstance:
             for seed in range(100)
         ]
         assert 1.5 <= float(np.mean(maxima)) <= 4.0
+
+    @pytest.mark.parametrize("family", gp.KERNEL_FAMILIES)
+    def test_sampler_draw_equals_sample_prior(self, family):
+        # The sampler's cached factor must reproduce the uncached prior draw
+        # bit for bit on every replication's INSTANCE substream.
+        kernel = gp.KernelSpec.isotropic(family, 0.2, 2)
+        grid = bench.GridSpec.uniform(0.0, 1.0, 12, 2)
+        sampler = bench.SyntheticInstanceSampler(kernel, grid, 0.0)
+        for rep in range(4):
+            got = sampler(rep, substream(3, rep, INSTANCE)).true_values
+            want = gp.sample_prior(kernel, grid.points(), substream(3, rep, INSTANCE))
+            np.testing.assert_array_equal(got, want)
+
+    def test_sampler_draw_equals_sample_prior_after_escalation(self, require_jitter):
+        kernel = gp.KernelSpec.isotropic("squared_exponential", 10.0, 1)
+        grid = bench.GridSpec((np.linspace(0, 1e-4, 200),))
+        require_jitter(1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for rep in range(3):
+                got = bench.SyntheticInstanceSampler(kernel, grid, 0.0)(
+                    rep, substream(3, rep, INSTANCE)).true_values
+                want = gp.sample_prior(kernel, grid.points(), substream(3, rep, INSTANCE))
+                np.testing.assert_array_equal(got, want)
+        assert gp.prior_data(kernel, grid.points()).jitter == pytest.approx(1e-8)
 
     def test_sampler_redraws_with_rng(self):
         grid = bench.GridSpec.uniform(0.0, 1.0, 4, 2)

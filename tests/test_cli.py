@@ -138,6 +138,24 @@ class TestRunExperiment:
         mean_rt = np.array([float(r[1]) for r in srows])
         np.testing.assert_allclose(cum.mean(axis=0), mean_rt, atol=1e-12)
 
+    @pytest.mark.usefixtures("fresh_prior_cache")
+    def test_prior_gram_factored_once_per_study(self, tmp_path, monkeypatch):
+        # Two algorithms x three replications redraw the objective on one
+        # 36-point grid; the 36 x 36 prior Gram must be factored once.
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def counting(A):
+            shapes.append(np.shape(A))
+            return cholesky(A)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        text = MINIMAL_SYNTHETIC.replace("grid.count = 3", "grid.count = 6").replace(
+            "algorithms = irgp_ucb", "algorithms = gp_ucb, irgp_ucb")
+        _, _, status = self.run_into(tmp_path, text)
+        assert status == 0
+        assert shapes.count((36, 36)) == 1
+
     def test_byte_determinism_synthetic(self, tmp_path):
         _, out_a, _ = self.run_into(tmp_path, MINIMAL_SYNTHETIC, "a")
         _, out_b, _ = self.run_into(tmp_path, MINIMAL_SYNTHETIC, "b")

@@ -179,6 +179,34 @@ class TestRunBo:
         trace = run_bo(inst, cfg, 1)
         assert trace.horizon == 12  # refit path executed without error
 
+    def test_refit_posterior_replay_through_batch_gp(self):
+        # After each refit the moment cache restarts from the new kernel's
+        # cached Gram; the recorded moments must still equal a batch
+        # posterior under the kernel the refit picked, and the run must
+        # switch kernels on the way.
+        rng = np.random.default_rng(0)
+        pts = rng.random((40, 1))
+        inst = ProblemInstance.finite(CandidateSet(pts), gp.sample_prior(se(1, ell=0.1), pts, 7),
+                                      0.01)
+        grid = (se(1, ell=0.1), se(1, ell=1.0))
+        cfg = RunConfig(kernel=se(1, ell=1.0), horizon=16, schedule=ShiftedExpFinite(40),
+                        noise_variance=1e-4, initial_design=2, refit_period=4, refit_grid=grid)
+        for seed in (0, 1):
+            trace = run_bo(inst, cfg, seed)
+            used = set()
+            for t in range(trace.horizon):
+                X = np.vstack([trace.initial_x, trace.selected_x[:t]])
+                y = np.concatenate([trace.initial_y, trace.observed_y[:t]])
+                if t % cfg.refit_period == 0:
+                    kernel = gp.fit_hyperparameters(X, y, list(grid), cfg.noise_variance)
+                used.add(float(kernel.lengthscales[0]))
+                mean, var = gp.posterior_batch(gp.batch_state(kernel, X, y, cfg.noise_variance),
+                                               pts)
+                i = trace.selected_index[t]
+                assert abs(mean[i] - trace.mean_at_selection[t]) < 1e-8
+                assert abs(np.sqrt(var[i]) - trace.sd_at_selection[t]) < 1e-8
+            assert used == {0.1, 1.0}
+
     def test_refit_requires_grid(self):
         with pytest.raises(ConfigurationError):
             RunConfig(kernel=se(1), horizon=2, schedule=Constant(1.0),

@@ -1,6 +1,7 @@
 """Tests for kernels, posterior updates, prior sampling, and evidence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,24 @@ class TestPosteriorInvariants:
             assert after < before
 
 
+class TestCrossSolve:
+    def test_supplied_v_gives_identical_moments(self):
+        rng = np.random.default_rng(11)
+        kernel = se_kernel(dim=2, ell=0.5)
+        state = gp.batch_state(kernel, rng.random((7, 2)), rng.normal(size=7), 1e-3)
+        X = rng.random((30, 2))
+        V = gp.cross_solve(state, X)
+        assert V.shape == (7, 30)
+        for got, want in zip(gp.posterior_batch(state, X, V), gp.posterior_batch(state, X)):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ConfigurationError):
+            gp.posterior_batch(state, X, V[:, :29])
+
+    def test_empty_state_solve_is_empty(self):
+        state = gp.empty_state(se_kernel(dim=2), 0.1)
+        assert gp.cross_solve(state, np.zeros((4, 2))).shape == (0, 4)
+
+
 class TestSamplePrior:
     def test_single_candidate_moments(self):
         draws = np.array([gp.sample_prior(se_kernel(), [[0.0]], s)[0] for s in range(10000)])
@@ -279,3 +298,97 @@ class TestJitterEscalation:
         monkeypatch.setattr(np.linalg, "cholesky", always_fail)
         with pytest.raises(NumericalError):
             gp.sample_prior(se_kernel(), [[0.0]], 0)
+
+    NEAR_COINCIDENT = np.linspace(0, 1e-4, 200)[:, None]
+
+    def test_escalation_warns_once_per_factorization(self, require_jitter):
+        kernel = se_kernel(ell=10.0)
+        require_jitter(1e-8)
+        for factorize in (lambda: gp.sample_prior(kernel, self.NEAR_COINCIDENT, 0),
+                          lambda: gp.prior_data(kernel, self.NEAR_COINCIDENT, factor=True)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                factorize()
+            assert len(caught) == 1
+            assert str(caught[0].message) == (
+                "prior Gram of 200 points needed diagonal jitter 1.0e-08 to factorize")
+        assert gp.prior_data(kernel, self.NEAR_COINCIDENT, factor=True).jitter == pytest.approx(1e-8)
+
+    @pytest.mark.usefixtures("fresh_prior_cache")
+    def test_paper_grid_factorizes_silently_at_start_jitter(self):
+        kernel = gp.KernelSpec.isotropic("squared_exponential", 0.1, 3)
+        axis = np.linspace(0.0, 0.9, 10)
+        pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis, axis, indexing="ij")], -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry = gp.prior_data(kernel, pts, factor=True)
+        assert entry.jitter == gp.JITTER_START
+
+
+@pytest.mark.usefixtures("fresh_prior_cache")
+class TestPriorCache:
+    """Process-level prior Gram and factor per (kernel, point set)."""
+
+    PTS = np.random.default_rng(4).random((40, 2))
+
+    @pytest.mark.parametrize("family", gp.KERNEL_FAMILIES)
+    def test_gram_rows_equal_kernel_matrix_rows(self, family):
+        kernel = gp.KernelSpec.isotropic(family, 0.3, 2)
+        gram = gp.prior_data(kernel, self.PTS).gram
+        np.testing.assert_array_equal(gram, gp.kernel_matrix(kernel, self.PTS))
+        for i in (0, 13, 39):
+            np.testing.assert_array_equal(
+                gram[i], gp.kernel_matrix(kernel, self.PTS[i][None, :], self.PTS)[0])
+
+    @pytest.mark.parametrize("family, pts, jitter", [
+        ("squared_exponential", PTS, gp.JITTER_START),
+        ("matern52", PTS, gp.JITTER_START),
+        ("matern32", PTS, gp.JITTER_START),
+        ("squared_exponential", TestJitterEscalation.NEAR_COINCIDENT, 1e-7),
+    ])
+    def test_factor_equals_dense_jitter_reference(self, family, pts, jitter, require_jitter):
+        # Reference: the factorization as written before the in-place jitter;
+        # the near-coincident grid is made to escalate three times.
+        kernel = gp.KernelSpec.isotropic(family, 0.3 if pts is self.PTS else 10.0, pts.shape[1])
+        cholesky = require_jitter(jitter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            entry = gp.prior_data(kernel, pts, factor=True)
+        assert entry.jitter == pytest.approx(jitter)
+        K = gp.kernel_matrix(kernel, pts)
+        np.testing.assert_array_equal(entry.factor, cholesky(K + entry.jitter * np.eye(len(pts))))
+        np.testing.assert_array_equal(entry.gram, K)
+
+    def test_same_key_returns_same_arrays(self):
+        kernel = se_kernel(dim=2, ell=0.3)
+        first = gp.prior_data(kernel, self.PTS, factor=True)
+        again = gp.prior_data(se_kernel(dim=2, ell=0.3), self.PTS.copy())
+        assert again.gram is first.gram and again.factor is first.factor
+        other = gp.prior_data(se_kernel(dim=2, ell=0.31), self.PTS)
+        assert other.gram is not first.gram and other.factor is None
+
+    def test_explicit_kernel_keyed_by_covariance(self):
+        pts = [[0.0], [1.0]]
+        a = gp.prior_data(gp.ExplicitKernel(np.array([[1.0, 0.2], [0.2, 0.99]])), pts)
+        b = gp.prior_data(gp.ExplicitKernel(np.array([[1.0, 0.3], [0.3, 0.99]])), pts)
+        assert a.gram[0, 1] == 0.2 and b.gram[0, 1] == 0.3
+
+    def test_cached_arrays_are_read_only(self):
+        entry = gp.prior_data(se_kernel(dim=2), self.PTS, factor=True)
+        with pytest.raises(ValueError):
+            entry.gram[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            entry.factor[1, 0] = 2.0
+
+    def test_held_bytes_stay_under_cap(self, monkeypatch):
+        # Room for two and a half 40-point Grams: every later grid evicts.
+        gram_bytes = 40 * 40 * 8
+        monkeypatch.setattr(gp, "PRIOR_CACHE_BYTES", int(2.5 * gram_bytes))
+        rng = np.random.default_rng(0)
+        for i in range(6):
+            gp.prior_data(se_kernel(dim=2), rng.random((40, 2)), factor=i % 2 == 1)
+            assert 0 < gp._PRIOR_CACHE.held_bytes <= gp.PRIOR_CACHE_BYTES
+        # An entry larger than the cap on its own is returned but not kept.
+        big = gp.prior_data(se_kernel(dim=2), rng.random((60, 2)))
+        assert big.gram.shape == (60, 60)
+        assert gp._PRIOR_CACHE.held_bytes <= gp.PRIOR_CACHE_BYTES
