@@ -199,21 +199,17 @@ def sample_posterior_path(state: gp.GpState, features: np.ndarray,
                                               check_finite=False)
 
 
-def path_inputs(state: gp.GpState, rff: RffModel, pts: np.ndarray,
-                V: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def path_inputs(state: gp.GpState, rff: RffModel,
+                pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``sample_posterior_path`` inputs for arbitrary candidate points.
 
     Features of the candidates stacked over the observed inputs, the rows of
-    the latter, and V = L^-1 K(X, pts), i.e. ``gp.cross_solve(state, pts)``,
-    which a caller that also computes the posterior moments at ``pts``
-    passes in. Callers holding these for a fixed grid pass them directly
-    instead.
+    the latter, and V = L^-1 K(X, pts). Callers holding these for a fixed
+    grid pass them directly instead.
     """
     m, n = pts.shape[0], state.n_obs
     features = rff_features(rff, np.vstack([pts, state.inputs]))
-    if V is None:
-        V = gp.cross_solve(state, pts)
-    return features, np.arange(m, m + n), V
+    return features, np.arange(m, m + n), gp.cross_solve(state, pts)
 
 
 def ts_select(state: gp.GpState, rff: RffModel, candidates, seed) -> int:
@@ -230,9 +226,8 @@ def pims_select(state: gp.GpState, rff: RffModel, candidates, seed) -> int:
     score 1 when mu clears the threshold and 0 otherwise.
     """
     pts = _points_of(candidates)
-    V = gp.cross_solve(state, pts)
-    f_star = float(np.max(sample_posterior_path(state, *path_inputs(state, rff, pts, V), seed)))
-    mean, var = gp.posterior_batch(state, pts, V)
+    f_star = float(np.max(sample_posterior_path(state, *path_inputs(state, rff, pts), seed)))
+    mean, var = gp.posterior_batch(state, pts)
     return int(np.argmax(pims_scores(mean, var, f_star)))
 
 

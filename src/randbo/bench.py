@@ -8,7 +8,8 @@ built from tabular measurement data.
 A synthetic study redraws the objective on one grid per replication. The
 grid's prior Gram is factored once per process (``gp.prior_data``), so
 each draw is one mat-vec of that factor with fresh standard normals, bit
-for bit what ``gp.sample_prior`` returns for the same generator.
+for bit what ``gp.sample_prior`` returns for the same generator. A grid too
+large for that cache is drawn through ``gp.sample_prior`` itself.
 """
 
 from __future__ import annotations
@@ -70,12 +71,15 @@ def make_synthetic_instance(kernel: gp.Kernel, grid: GridSpec, noise_stddev: flo
                             seed) -> ProblemInstance:
     """Finite instance whose objective is one prior draw over the grid.
 
-    The draw uses the grid's cached prior factor and equals
-    ``gp.sample_prior(kernel, grid.points(), seed)``.
+    The draw uses the grid's cached prior factor when the cache can hold
+    it and equals ``gp.sample_prior(kernel, grid.points(), seed)``.
     """
     pts = grid.points()
-    factor = gp.prior_data(kernel, pts, factor=True).factor
-    values = factor @ as_generator(seed).standard_normal(pts.shape[0])
+    prior = gp.prior_data(kernel, pts, factor=True)
+    if prior is None:
+        values = gp.sample_prior(kernel, pts, seed)
+    else:
+        values = prior.factor @ as_generator(seed).standard_normal(pts.shape[0])
     return ProblemInstance.finite(
         CandidateSet(pts), values, noise_stddev,
         metadata={"generator": "gp_prior", "grid_size": grid.size},

@@ -12,11 +12,11 @@ traces through the batch posterior to confirm the two paths agree. The
 prior diagonal and each appended observation's Gram row are read from the
 process-level prior Gram of the grid (``gp.prior_data``), computed once per
 (kernel, grid) and shared by every replication and every refit that lands
-on the same kernel. The posterior-sample rules reuse the cache: the grid's
+on the same kernel; a grid too large for that cache gets its rows computed
+per append instead. The posterior-sample rules reuse the cache: the grid's
 random features are computed once per feature draw, and each sample path
 is a prior path corrected through the cached V and the state's Cholesky
-factor. On per-iteration candidates V is solved once per iteration and
-feeds both the moments and the sample path.
+factor.
 
 ``run_replications`` draws each replication's instance first; on a fixed
 grid the synthetic sampler's draw is a mat-vec with the grid's cached prior
@@ -212,13 +212,19 @@ class _MomentCache:
     Maintains V = L^-1 K(obs, cand) one row per observation; means and
     variances follow from column inner products and are updated in O(m)
     per appended row. The prior variances and the Gram row of each appended
-    candidate come from the cached prior Gram of (kernel, candidates).
+    candidate come from the cached prior Gram of (kernel, candidates), or,
+    for a candidate set too large for that cache, from the kernel directly.
     """
 
     def __init__(self, state: gp.GpState, cand_pts: np.ndarray, capacity: int):
         m = cand_pts.shape[0]
-        self.gram = gp.prior_data(state.kernel, cand_pts).gram
-        self.prior = np.diagonal(self.gram)
+        self.pts = cand_pts
+        prior = gp.prior_data(state.kernel, cand_pts)
+        self.gram = None if prior is None else prior.gram
+        if self.gram is None:
+            self.prior = gp.kernel_diag(state.kernel, cand_pts)
+        else:
+            self.prior = np.diagonal(self.gram)
         self.V = np.empty((capacity, m))
         self.mean = np.zeros(m)
         self.varsum = np.zeros(m)
@@ -238,7 +244,11 @@ class _MomentCache:
         n = self.n
         l_row = new_state.chol[n, :n]
         pivot = new_state.chol[n, n]
-        v = (self.gram[idx] - l_row @ self.V[:n]) / pivot
+        if self.gram is None:
+            k_row = gp.kernel_matrix(new_state.kernel, self.pts[idx][None, :], self.pts)[0]
+        else:
+            k_row = self.gram[idx]
+        v = (k_row - l_row @ self.V[:n]) / pivot
         self.V[n] = v
         self.mean += v * new_state.half_targets[n]
         self.varsum += v * v
@@ -374,10 +384,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
 
             if per_iteration:
                 pts = cand_rng.random((resample_count, instance.candidates.dim))
-                # Sample paths reuse the moments' solve V; the closed-form
-                # rules let posterior_batch solve and free it.
-                V = gp.cross_solve(state, pts) if rff is not None else None
-                mean, var = gp.posterior_batch(state, pts, V)
+                mean, var = gp.posterior_batch(state, pts)
             else:
                 pts = fixed_pts
                 mean, var = cache.moments()
@@ -395,7 +402,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 idx = int(np.argmax(expected_improvement(mean, var, incumbent)))
             else:  # ts, pims
                 if per_iteration:
-                    inputs = path_inputs(state, rff, pts, V)
+                    inputs = path_inputs(state, rff, pts)
                 else:
                     obs_rows = np.concatenate([init_rows, sel_idx[: t - 1]])
                     inputs = (path_features, obs_rows, cache.V[: cache.n])

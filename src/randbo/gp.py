@@ -11,8 +11,10 @@ one point set across every replication, so ``prior_data`` keeps a
 process-level LRU cache of the read-only prior Gram K(grid, grid) per
 (kernel, point set), plus its jitter-escalated lower Cholesky factor,
 built on first use. A prior draw is then one mat-vec with the factor and a
-Gram row is a lookup. ``sample_prior`` stays uncached; it shares the
-factorization helper.
+Gram row is a lookup. Point sets whose Gram and factor would not fit in
+the cache together are not cached; their callers compute rows and draws
+directly. ``sample_prior`` stays uncached; it shares the factorization
+helper.
 
 States are value-semantic: ``incremental_update`` returns a new state and
 never mutates the old one. Successive states along one history share a
@@ -47,7 +49,8 @@ JITTER_MAX = 1e-4
 
 # Bytes of cached prior Grams and factors held per process (see prior_data);
 # least recently used entries are evicted beyond it. A 1000-point grid's
-# Gram and factor take 16 MB together.
+# Gram and factor take 16 MB together; point sets above 2048 points are not
+# cached.
 PRIOR_CACHE_BYTES = 64 * 2**20
 
 
@@ -363,8 +366,8 @@ def incremental_update(state: GpState, x, y: float, l_row=None) -> GpState:
 def cross_solve(state: GpState, X) -> np.ndarray:
     """V = L^-1 k(inputs, X), shape (n_obs, len(X)).
 
-    The posterior moments and the data update of a sample path at X both
-    derive from it; a caller needing both solves once.
+    The posterior moments at X and the data update of a sample path at X
+    both derive from it.
     """
     X = _as_points(X, state.dim)
     if state.n_obs == 0:
@@ -373,22 +376,17 @@ def cross_solve(state: GpState, X) -> np.ndarray:
                             lower=True, check_finite=False)
 
 
-def posterior_batch(state: GpState, X, V=None) -> tuple[np.ndarray, np.ndarray]:
+def posterior_batch(state: GpState, X) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances at each row of X.
 
     With no observations this is the prior: zero mean, k(x, x) variance.
-    Variances are clipped at zero to absorb roundoff. ``V`` optionally
-    supplies ``cross_solve(state, X)``, which callers that also need it for
-    a sample path already hold.
+    Variances are clipped at zero to absorb roundoff.
     """
     X = _as_points(X, state.dim)
     prior = kernel_diag(state.kernel, X)
     if state.n_obs == 0:
         return np.zeros(X.shape[0]), prior
-    if V is None:
-        V = cross_solve(state, X)
-    elif V.shape != (state.n_obs, X.shape[0]):
-        raise ConfigurationError("V must have one row per observation and one column per point")
+    V = cross_solve(state, X)
     mean = V.T @ state.half_targets
     var = prior - np.einsum("ij,ij->j", V, V)
     return mean, np.maximum(var, 0.0)
@@ -400,7 +398,7 @@ def posterior(state: GpState, x) -> PosteriorStats:
     return PosteriorStats(float(mean[0]), float(var[0]))
 
 
-def _jittered_cholesky(K: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
+def _jittered_cholesky(K: np.ndarray, scale: float) -> np.ndarray:
     """Lower Cholesky factor of K plus the smallest escalated diagonal jitter.
 
     The jitter starts at ``JITTER_START * scale`` and grows x10 per failed
@@ -408,7 +406,7 @@ def _jittered_cholesky(K: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     attempt writes diag(K) + jitter onto K's diagonal in place, the same
     matrix as ``K + jitter * I`` without m x m temporaries, and K's diagonal
     is restored before returning. Escalation past the start value is
-    reported by one warning. Returns the factor and the jitter it ended at.
+    reported by one warning naming the jitter it ended at.
     """
     m = K.shape[0]
     diag = K.diagonal().copy()
@@ -430,7 +428,7 @@ def _jittered_cholesky(K: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
             f"prior Gram of {m} points needed diagonal jitter {jitter:.1e} to factorize",
             RuntimeWarning, stacklevel=3,
         )
-    return L, jitter
+    return L
 
 
 def _check_candidates(kernel: Kernel, candidates) -> np.ndarray:
@@ -463,7 +461,7 @@ def sample_prior(kernel: Kernel, candidates, seed) -> np.ndarray:
     X = _check_candidates(kernel, candidates)
     rng = as_generator(seed)
     K = kernel_matrix(kernel, X)
-    L, _ = _jittered_cholesky(K, float(np.max(kernel_diag(kernel, X))))
+    L = _jittered_cholesky(K, float(np.max(kernel_diag(kernel, X))))
     return L @ rng.standard_normal(X.shape[0])
 
 
@@ -472,13 +470,11 @@ class PriorData:
     """Prior covariance data of one (kernel, point set), read-only.
 
     ``gram`` is K(points, points). ``factor`` is the jitter-escalated lower
-    Cholesky factor of ``gram`` and ``jitter`` the diagonal jitter it ended
-    at; both are None until a caller asks for the factor.
+    Cholesky factor of ``gram``, None until a caller asks for it.
     """
 
     gram: np.ndarray
     factor: np.ndarray | None = None
-    jitter: float | None = None
 
     @property
     def nbytes(self) -> int:
@@ -493,7 +489,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class _PriorCache:
     """LRU map from (kernel, point set) to PriorData, capped by PRIOR_CACHE_BYTES.
 
-    An entry larger than the cap on its own is handed out but not kept.
+    Callers only pass point sets whose Gram and factor fit under the cap
+    together, so a new entry never evicts itself.
     """
 
     def __init__(self):
@@ -516,15 +513,13 @@ class _PriorCache:
             # through a copy. In place keeps the held arrays contiguous in
             # memory instead of pinning a freed copy between them.
             K = entry.gram if entry.gram.flags.writeable else entry.gram.copy()
-            L, entry.jitter = _jittered_cholesky(K, float(np.max(np.diagonal(K))))
-            entry.factor = _readonly(L)
+            entry.factor = _readonly(_jittered_cholesky(K, float(np.max(np.diagonal(K)))))
         _readonly(entry.gram)
-        if entry.nbytes <= PRIOR_CACHE_BYTES:
-            self._entries[key] = entry
-            self.held_bytes += entry.nbytes
-            while self.held_bytes > PRIOR_CACHE_BYTES:
-                _, old = self._entries.popitem(last=False)
-                self.held_bytes -= old.nbytes
+        self._entries[key] = entry
+        self.held_bytes += entry.nbytes
+        while self.held_bytes > PRIOR_CACHE_BYTES:
+            _, old = self._entries.popitem(last=False)
+            self.held_bytes -= old.nbytes
         return entry
 
     def clear(self) -> None:
@@ -535,7 +530,7 @@ class _PriorCache:
 _PRIOR_CACHE = _PriorCache()
 
 
-def prior_data(kernel: Kernel, points, factor: bool = False) -> PriorData:
+def prior_data(kernel: Kernel, points, factor: bool = False) -> PriorData | None:
     """Cached prior Gram over ``points``, with its factor when ``factor`` is set.
 
     Every replication of a study on one fixed grid shares the kernel and
@@ -544,8 +539,14 @@ def prior_data(kernel: Kernel, points, factor: bool = False) -> PriorData:
     kernel's family, lengthscales and signal variance (an explicit kernel
     by its covariance) and the points' shape and bytes. The factor uses the
     same jitter escalation as ``sample_prior`` and is bit-identical to it.
+
+    Returns None, computing nothing, when the Gram and its factor would
+    not fit in ``PRIOR_CACHE_BYTES`` together; the caller then computes the
+    rows or the draw it needs directly.
     """
     X = np.ascontiguousarray(_check_candidates(kernel, points))
+    if 2 * X.shape[0] ** 2 * X.itemsize > PRIOR_CACHE_BYTES:
+        return None
     return _PRIOR_CACHE.get(kernel, X, factor)
 
 

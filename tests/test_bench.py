@@ -74,14 +74,30 @@ class TestSyntheticInstance:
         kernel = gp.KernelSpec.isotropic("squared_exponential", 10.0, 1)
         grid = bench.GridSpec((np.linspace(0, 1e-4, 200),))
         require_jitter(1e-8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             for rep in range(3):
                 got = bench.SyntheticInstanceSampler(kernel, grid, 0.0)(
                     rep, substream(3, rep, INSTANCE)).true_values
                 want = gp.sample_prior(kernel, grid.points(), substream(3, rep, INSTANCE))
                 np.testing.assert_array_equal(got, want)
-        assert gp.prior_data(kernel, grid.points()).jitter == pytest.approx(1e-8)
+        # Three uncached sample_prior factorizations and one cached factor.
+        assert [str(w.message) for w in caught] == 4 * [
+            "prior Gram of 200 points needed diagonal jitter 1.0e-08 to factorize"]
+
+    @pytest.mark.usefixtures("fresh_prior_cache")
+    def test_sampler_draw_above_cache_cap_equals_sample_prior(self, monkeypatch):
+        # A grid whose Gram and factor do not fit in the cache is drawn
+        # through sample_prior and leaves nothing cached.
+        kernel = gp.KernelSpec.isotropic("matern52", 0.2, 2)
+        grid = bench.GridSpec.uniform(0.0, 1.0, 12, 2)
+        monkeypatch.setattr(gp, "PRIOR_CACHE_BYTES", 144 * 144 * 8)
+        sampler = bench.SyntheticInstanceSampler(kernel, grid, 0.0)
+        for rep in range(3):
+            got = sampler(rep, substream(3, rep, INSTANCE)).true_values
+            want = gp.sample_prior(kernel, grid.points(), substream(3, rep, INSTANCE))
+            np.testing.assert_array_equal(got, want)
+        assert gp._PRIOR_CACHE.held_bytes == 0
 
     def test_sampler_redraws_with_rng(self):
         grid = bench.GridSpec.uniform(0.0, 1.0, 4, 2)

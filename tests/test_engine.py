@@ -135,6 +135,30 @@ class TestRunBo:
             assert abs(mean[i] - trace.mean_at_selection[t]) < 1e-8
             assert abs(np.sqrt(var[i]) - trace.sd_at_selection[t]) < 1e-8
 
+    @pytest.mark.usefixtures("fresh_prior_cache")
+    def test_candidate_set_above_prior_cache_cap(self, monkeypatch):
+        # Too large for the prior cache: the moment cache computes its Gram
+        # rows per append. The trace must equal the cached-Gram run bit for
+        # bit and replay through the batch posterior.
+        inst = random_instance(2, m=15)
+        cfg = ucb_config(20, 15, initial_design=3)
+        cached = run_bo(inst, cfg, 9)
+        monkeypatch.setattr(gp, "PRIOR_CACHE_BYTES", 15 * 15 * 8)
+        gp._PRIOR_CACHE.clear()
+        trace = run_bo(inst, cfg, 9)
+        assert gp._PRIOR_CACHE.held_bytes == 0
+        for name in ("selected_index", "mean_at_selection", "sd_at_selection"):
+            np.testing.assert_array_equal(getattr(trace, name), getattr(cached, name))
+        pts = inst.candidates.points
+        for t in range(trace.horizon):
+            X = np.vstack([trace.initial_x, trace.selected_x[:t]])
+            y = np.concatenate([trace.initial_y, trace.observed_y[:t]])
+            state = gp.batch_state(cfg.kernel, X, y, cfg.noise_variance)
+            mean, var = gp.posterior_batch(state, pts)
+            i = trace.selected_index[t]
+            assert abs(mean[i] - trace.mean_at_selection[t]) < 1e-8
+            assert abs(np.sqrt(var[i]) - trace.sd_at_selection[t]) < 1e-8
+
     def test_recorded_zeta_mean_matches_schedule(self):
         inst = random_instance(1, m=16, noise=0.2)
         cfg = RunConfig(kernel=se(2), horizon=3000, schedule=ShiftedExpFinite(16),
