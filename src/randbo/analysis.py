@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import gp
 from .acquisition import CandidateSet
-from .confidence import RATE, shift_finite
+from .confidence import RATE, Replay, beta_deterministic, shift_finite
 from .engine import BoTrace, ProblemInstance, RunConfig, run_replications
 from .errors import ConfigurationError, NumericalError
 from .rng import as_generator
@@ -123,7 +122,7 @@ def estimate_bcr(instance_sampler, config: RunConfig, n_reps: int, base_seed: in
     return summarize_traces(traces)
 
 
-def estimate_conditional_regret(instance_sampler, config: RunConfig, zeta_sequence,
+def estimate_conditional_regret(instance_sampler, config: RunConfig, sequence,
                                 n_reps: int, base_seed: int,
                                 n_jobs: int = 1) -> RegretSummary:
     """Expected regret conditioned on a fixed confidence sequence.
@@ -132,8 +131,7 @@ def estimate_conditional_regret(instance_sampler, config: RunConfig, zeta_sequen
     and the noise are redrawn, estimating the regret averaged over the
     environment for one realization of the algorithm's randomness.
     """
-    seq = np.asarray(zeta_sequence, dtype=float)
-    conditioned = replace(config, zeta_sequence=seq)
+    conditioned = replace(config, schedule=Replay(sequence))
     traces = run_replications(instance_sampler, conditioned, n_reps, base_seed, n_jobs)
     return summarize_traces(traces)
 
@@ -166,13 +164,20 @@ def realized_information_gain(kernel: gp.Kernel, points, noise_variance: float) 
     return float(np.sum(np.log(np.diag(L))))
 
 
+# Information gain is monotone submodular in the selected set, so the greedy
+# gain is at least (1 - 1/e) times the maximum gain gamma_T (Nemhauser et al.
+# 1978); greedy / GREEDY_GAIN_FRACTION therefore bounds gamma_T from above.
+GREEDY_GAIN_FRACTION = 1.0 - 1.0 / math.e
+
+
 def greedy_information_gain(kernel: gp.Kernel, candidates, T: int,
                             noise_variance: float) -> float:
     """Greedy maximization of information gain over a candidate grid.
 
-    Picks the highest-posterior-variance point T times. Serves as an
-    upper-envelope reference for the realized gain of an actual run; exact
-    maximization over all size-T subsets is intractable.
+    Picks the highest-posterior-variance point T times. The result is a
+    lower approximation of the maximum gain gamma_T over size-T subsets,
+    whose exact maximization is intractable; a bound that needs gamma_T
+    takes ``greedy / GREEDY_GAIN_FRACTION``.
     """
     pts = candidates.points if isinstance(candidates, CandidateSet) else np.asarray(candidates, dtype=float)
     state = gp.empty_state(kernel, noise_variance, capacity=T + 1)
@@ -276,14 +281,12 @@ def high_prob_bound(T: int, delta: float, domain_size: int, noise_variance: floa
     """Anytime high-probability cumulative-regret bound for the growing-shift schedule.
 
     2 sqrt(C1 gamma (T s_T + T + 2 sqrt(T log(pi^2 T^2/(3 delta))) + 2 log(...)))
-    with s_T = 2 log(|X| T^2 pi^2 / (6 delta)).
+    with s_T = 2 log(|X| T^2 pi^2 / (6 delta)), the schedule's anytime width.
     """
-    if domain_size < 1:
-        raise ConfigurationError("domain_size must be >= 1")
     if gamma < 0:
         raise ConfigurationError("gamma must be >= 0")
     lg = _anytime_log(T, delta)
-    s_T = 2.0 * math.log(domain_size * T * T * math.pi**2 / (6.0 * delta))
+    s_T = beta_deterministic(domain_size, T, delta)
     root_tl = math.sqrt(T * lg)
     return 2.0 * math.sqrt(
         _width_constant(noise_variance) * gamma * (T * s_T + T + 2.0 * root_tl + 2.0 * lg)
@@ -351,28 +354,14 @@ def validate_optimum_bound(kernel: gp.Kernel, candidates, dataset,
 
     if dataset is None or len(dataset[0]) == 0:
         state = gp.empty_state(kernel, noise_variance)
-        mean = np.zeros(m)
-        cov = gp.kernel_matrix(kernel, pts)
     else:
         state = gp.batch_state(kernel, dataset[0], dataset[1], noise_variance)
-        mean, _ = gp.posterior_batch(state, pts)
-        Kco = gp.kernel_matrix(kernel, state.inputs, pts)
-        V = solve_triangular(state.chol, Kco, lower=True, check_finite=False)
-        cov = gp.kernel_matrix(kernel, pts) - V.T @ V
-    _, var = gp.posterior_batch(state, pts)
-    sd = np.sqrt(var)
-
-    sv = float(np.max(gp.kernel_diag(kernel, pts)))
-    jitter = gp.JITTER_START * sv
-    eye = np.eye(m)
-    while True:
-        try:
-            L = np.linalg.cholesky(cov + jitter * eye)
-            break
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-            if jitter > gp.JITTER_MAX * sv:
-                raise NumericalError("posterior covariance not factorizable")
+    V = gp.cross_solve(state, pts)
+    mean = V.T @ state.half_targets
+    cov = gp.kernel_matrix(kernel, pts) - V.T @ V
+    prior = gp.kernel_diag(kernel, pts)
+    sd = np.sqrt(np.maximum(prior - np.einsum("ij,ij->j", V, V), 0.0))
+    L = gp._jittered_cholesky(cov, float(np.max(prior)), "posterior covariance")
 
     draws = rng.standard_normal((n_mc, m)) @ L.T + mean
     lhs_samples = draws.max(axis=1)

@@ -198,13 +198,41 @@ def _mean_realized_gain(traces, kernel, noise_variance: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _run_grid_experiment(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _domain(config: ExperimentConfig):
+    """(candidate source, domain size, dimension) of a config's problem.
+
+    The source is the fixed instance of the benchmark and tabular kinds,
+    the two-point sampler of the counterexample kind, and the grid of every
+    other kind. Runners and confidence profiles take the domain size and
+    dimension from here, so a schedule sees the same domain in both.
+    """
+    if config.kind == "benchmark":
+        instance = bench.make_benchmark_instance(
+            config["benchmark.name"], config.values.get("benchmark.dim"),
+            config.noise_stddev, config["candidates.count"])
+        return instance, config["candidates.count"], instance.metadata["dim"]
+    if config.kind == "tabular":
+        _, instance = bench.ingest_tabular(config["tabular.path"], config["tabular.objective"])
+        return instance, len(instance.candidates), instance.candidates.dim
+    if config.kind == "counterexample":
+        return analysis.counterexample_instance(config["counterexample.rho"]), 2, 1
     grid = bench.GridSpec.uniform(config["grid.low"], config["grid.high"],
                                   config["grid.count"], config["grid.dim"])
-    dim = grid.dim
+    return grid, grid.size, grid.dim
+
+
+def _run_grid_experiment(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+    grid, domain_size, dim = _domain(config)
     kernel = build_kernel(config, dim)
     sampler = bench.SyntheticInstanceSampler(kernel, grid, config.noise_stddev)
-    return _run_roster(config, out, sampler, kernel, domain_size=grid.size, dim=dim)
+    return _run_roster(config, out, sampler, kernel, domain_size, dim)
+
+
+def _run_fixed_instance(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+    instance, domain_size, dim = _domain(config)
+    kernel = build_kernel(config, dim)
+    return _run_roster(config, out, FixedInstanceSampler(instance), kernel,
+                       domain_size, dim)
 
 
 def _run_roster(config: ExperimentConfig, out: Path, sampler, kernel,
@@ -255,27 +283,23 @@ def _run_roster(config: ExperimentConfig, out: Path, sampler, kernel,
 
 
 def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    grid = bench.GridSpec.uniform(config["grid.low"], config["grid.high"],
-                                  config["grid.count"], config["grid.dim"])
-    kernel = build_kernel(config, grid.dim)
+    grid, domain_size, dim = _domain(config)
+    kernel = build_kernel(config, dim)
     sampler = bench.SyntheticInstanceSampler(kernel, grid, config.noise_stddev)
     name = config.algorithms[0]
-    run_cfg = _run_config_for(config, name, grid.size, grid.dim, kernel)
-    if run_cfg.schedule is None or not confidence.is_randomized(run_cfg.schedule):
+    run_cfg = _run_config_for(config, name, domain_size, dim, kernel)
+    schedule = run_cfg.schedule
+    if schedule is None or not schedule.randomized:
         raise ConfigurationError(
             "conditional_regret needs a randomized UCB algorithm to condition on"
         )
-
-    shifted_exp = isinstance(run_cfg.schedule, (
-        confidence.ShiftedExpFinite, confidence.ShiftedExpContinuous,
-        confidence.ShiftedExpHighProb, confidence.HeuristicShiftedExp))
 
     outputs: list[str] = []
     cond_means = []
     for k in range(config["conditional.n_sequences"]):
         rng = substream(config.base_seed, _ZETA_SEQUENCES, k)
         zeta = np.array([
-            confidence.next_confidence(run_cfg.schedule, t, rng).value
+            confidence.next_confidence(schedule, t, rng)
             for t in range(1, config.horizon + 1)
         ])
         summary = analysis.estimate_conditional_regret(
@@ -286,46 +310,30 @@ def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], in
         write_summary_csv(out / fname, summary)
         outputs.append(fname)
 
-    if shifted_exp:
-        # deterministic shift at the final iteration: mean minus the 1/rate
-        s_T = confidence.schedule_mean(run_cfg.schedule, config.horizon) - 2.0
+    # The conditional-regret theorem covers the shifted-exponential
+    # schedules of the analysis, not the benchmark heuristic's d/2 shift.
+    if isinstance(schedule, confidence.ShiftedExp) and name != "irgp_ucb_heuristic":
+        s_T = schedule.shift(config.horizon)
         delta = config["conditional.delta"]
-        gamma = analysis.greedy_information_gain(kernel, grid.points(), config.horizon,
-                                                 config.noise_variance)
-        value = analysis.conditional_bound_U(config.horizon, delta, s_T,
-                                             config.noise_variance, gamma)
+        greedy = analysis.greedy_information_gain(kernel, grid.points(), config.horizon,
+                                                  config.noise_variance)
+        gamma = greedy / analysis.GREEDY_GAIN_FRACTION
+        value = analysis.conditional_bound_U(
+            config.horizon, delta, s_T, config.noise_variance, gamma,
+            continuous=name == "irgp_ucb_continuous")
         report = analysis.BoundReport.compare(
             "conditional_regret_bound",
             {"T": config.horizon, "delta": delta, "s_T": s_T,
-             "gamma_greedy": gamma, "n_sequences": len(cond_means)},
+             "gamma_greedy": greedy, "gamma_certified": gamma,
+             "n_sequences": len(cond_means)},
             value, float(np.max(cond_means)))
         write_bounds_json(out / "bounds.json", [report])
         outputs.append("bounds.json")
     return outputs, 0
 
 
-def _run_benchmark(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    instance = bench.make_benchmark_instance(
-        config["benchmark.name"], config.values.get("benchmark.dim"),
-        config.noise_stddev, config["candidates.count"])
-    dim = instance.metadata["dim"]
-    kernel = build_kernel(config, dim)
-    sampler = FixedInstanceSampler(instance)
-    return _run_roster(config, out, sampler, kernel,
-                       domain_size=config["candidates.count"], dim=dim)
-
-
-def _run_tabular(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    _, instance = bench.ingest_tabular(config["tabular.path"], config["tabular.objective"])
-    dim = instance.candidates.dim
-    kernel = build_kernel(config, dim)
-    sampler = FixedInstanceSampler(instance)
-    return _run_roster(config, out, sampler, kernel,
-                       domain_size=len(instance.candidates), dim=dim)
-
-
 def _run_counterexample(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    sampler = analysis.counterexample_instance(config["counterexample.rho"])
+    sampler, _, _ = _domain(config)
     horizons = sorted(int(h) for h in config["counterexample.horizons"])
     if len(horizons) < 2:
         raise ConfigurationError("counterexample.horizons needs two horizons")
@@ -440,8 +448,8 @@ def _run_bound_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], in
 RUNNERS = {
     "synthetic_bcr": _run_grid_experiment,
     "conditional_regret": _run_conditional,
-    "benchmark": _run_benchmark,
-    "tabular": _run_tabular,
+    "benchmark": _run_fixed_instance,
+    "tabular": _run_fixed_instance,
     "counterexample": _run_counterexample,
     "lemma_check": _run_lemma_check,
     "bound_sweep": _run_bound_sweep,
@@ -469,24 +477,13 @@ def emit_confidence_profile(labeled_schedules, horizon: int):
     for t in range(1, horizon + 1):
         row = [t]
         for _, sched in labeled_schedules:
-            row += [confidence.schedule_mean(sched, t),
-                    confidence.schedule_quantile(sched, t, 0.025),
-                    confidence.schedule_quantile(sched, t, 0.975)]
+            row += [sched.mean(t), sched.quantile(t, 0.025), sched.quantile(t, 0.975)]
         rows.append(row)
     return header, rows
 
 
 def _profile_outputs(config: ExperimentConfig, out: Path) -> list[str]:
-    if config.kind == "counterexample":
-        domain_size, dim = 2, 1
-    elif config.kind == "benchmark":
-        name = config.values.get("benchmark.name")
-        default_dim = bench.BENCHMARKS[name].default_dim if name else 2
-        domain_size = config["candidates.count"]
-        dim = config.values.get("benchmark.dim") or default_dim
-    else:
-        domain_size = config["grid.count"] ** config["grid.dim"]
-        dim = config["grid.dim"]
+    _, domain_size, dim = _domain(config)
     labeled = []
     for name in config.algorithms:
         _, sched = build_algorithm(name, config, domain_size, dim)

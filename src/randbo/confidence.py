@@ -1,13 +1,14 @@
 """Confidence-parameter schedules for UCB acquisition.
 
-Eight schedule variants cover the deterministic log-growing width, the
-Gamma-randomized width, shifted-exponential randomized widths (constant
-shift for finite domains, log-growing shift for continuous domains and for
-the anytime high-probability setting), a plain constant, and the two
-dimension-scaled heuristics used in benchmark runs.
-
-All samplers use inverse-transform draws from a single uniform per call,
-so a fixed generator state maps one-to-one onto a draw sequence.
+Each schedule class defines ``shift(t)``, the deterministic part of
+iteration t's value, and inherits ``draw(t, rng)``, ``mean(t)`` and
+``quantile(t, q)`` from one of two bases: ``PointMass`` for the
+deterministic widths (anytime, constant, heuristic, and a replayed
+sequence), whose value is the shift, and ``ShiftedExp`` for the shift plus
+an exponential of rate 1/2 (finite, continuous, anytime high-probability
+and heuristic shifts). The Gamma-randomized width defines its own three.
+Every randomized draw advances the generator exactly once, so a fixed
+generator state maps one-to-one onto a draw sequence.
 """
 
 from __future__ import annotations
@@ -20,20 +21,6 @@ from scipy.stats import gamma as _gamma_dist
 
 from .errors import ConfigurationError
 from .rng import as_generator
-
-
-@dataclass(frozen=True)
-class ConfidenceDraw:
-    """One iteration's confidence parameter.
-
-    ``value`` multiplies the posterior standard deviation as value**0.5.
-    ``shift`` is the deterministic component: the shift of the exponential
-    for randomized schedules, the value itself for deterministic ones, and
-    zero for the Gamma schedule, which has no shift.
-    """
-
-    value: float
-    shift: float
 
 
 def sample_shifted_exponential(s: float, lam: float, rng) -> float:
@@ -140,9 +127,60 @@ def discretization_coordinates(a: float, b: float, r: float, d: int,
 # Schedule variants
 # ---------------------------------------------------------------------------
 
+RATE = 0.5  # exponential rate shared by every shifted-exponential variant
+
+
+def _check_level(q: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise ConfigurationError("quantile level must lie in (0, 1)")
+
+
+class PointMass:
+    """Deterministic schedule: iteration t's value is ``shift(t)``.
+
+    Draws leave the generator untouched, and every quantile equals the mean.
+    """
+
+    randomized = False
+
+    def __post_init__(self):
+        self.shift(1)  # out-of-range parameters fail at construction
+
+    def draw(self, t: int, rng) -> float:
+        return self.shift(t)
+
+    def mean(self, t: int) -> float:
+        return self.shift(t)
+
+    def quantile(self, t: int, q: float) -> float:
+        _check_level(q)
+        return self.shift(t)
+
+
+class ShiftedExp:
+    """Randomized schedule ``shift(t) + Z``, Z exponential of rate ``RATE``.
+
+    Each draw consumes exactly one uniform and is never below the shift.
+    """
+
+    randomized = True
+
+    def __post_init__(self):
+        self.shift(1)  # out-of-range parameters fail at construction
+
+    def draw(self, t: int, rng) -> float:
+        return sample_shifted_exponential(self.shift(t), RATE, rng)
+
+    def mean(self, t: int) -> float:
+        return self.shift(t) + 1.0 / RATE
+
+    def quantile(self, t: int, q: float) -> float:
+        _check_level(q)
+        return self.shift(t) - math.log(1.0 - q) / RATE
+
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(PointMass):
     """Fixed confidence value for every iteration."""
 
     c: float
@@ -151,76 +189,23 @@ class Constant:
         if not self.c > 0:
             raise ConfigurationError("constant confidence must be positive")
 
+    def shift(self, t: int) -> float:
+        return self.c
+
 
 @dataclass(frozen=True)
-class DeterministicUcb:
+class DeterministicUcb(PointMass):
     """Deterministic anytime width, growing like log t."""
 
     domain_size: int
     delta: float
 
-    def __post_init__(self):
-        if self.domain_size < 1:
-            raise ConfigurationError("domain_size must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError("delta must lie in (0, 1)")
+    def shift(self, t: int) -> float:
+        return beta_deterministic(self.domain_size, t, self.delta)
 
 
 @dataclass(frozen=True)
-class GammaRandomized:
-    """Gamma-distributed confidence with iteration-growing shape."""
-
-    domain_size: int
-    theta: float = 1.0
-
-    def __post_init__(self):
-        if self.domain_size < 1:
-            raise ConfigurationError("domain_size must be >= 1")
-        if not self.theta > 0:
-            raise ConfigurationError("theta must be positive")
-        gamma_shape(self.domain_size, 1)  # fail early on |X| = 1
-
-
-@dataclass(frozen=True)
-class ShiftedExpFinite:
-    """Shifted exponential with constant shift 2 log(|X|/2) and rate 1/2.
-
-    Rejected for |X| < 2 rather than clamped: the shift would be negative
-    and the schedule is out of theory there.
-    """
-
-    domain_size: int
-
-    def __post_init__(self):
-        shift_finite(self.domain_size)
-
-
-@dataclass(frozen=True)
-class ShiftedExpContinuous:
-    """Shifted exponential with the smoothness-constant shift, rate 1/2."""
-
-    a: float
-    b: float
-    r: float
-    d: int
-
-    def __post_init__(self):
-        _check_smoothness_constants(self.a, self.b, self.r, self.d)
-
-
-@dataclass(frozen=True)
-class ShiftedExpHighProb:
-    """Shifted exponential whose shift is the anytime width, rate 1/2."""
-
-    domain_size: int
-    delta: float
-
-    def __post_init__(self):
-        beta_deterministic(self.domain_size, 1, self.delta)
-
-
-@dataclass(frozen=True)
-class HeuristicUcb:
+class HeuristicUcb(PointMass):
     """Deterministic heuristic 0.2 d log(2 t)."""
 
     d: int
@@ -229,9 +214,75 @@ class HeuristicUcb:
         if self.d < 1:
             raise ConfigurationError("dimension d must be >= 1")
 
+    def shift(self, t: int) -> float:
+        return heuristic_beta(self.d, t)
+
 
 @dataclass(frozen=True)
-class HeuristicShiftedExp:
+class Replay(PointMass):
+    """A fixed confidence sequence: iteration t takes ``values[t - 1]``.
+
+    Replaying one realization of a randomized schedule conditions regret
+    on the algorithm's randomness. Iterations past the sequence's end are
+    rejected, so a run whose horizon exceeds it fails at configuration.
+    """
+
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        seq = np.asarray(self.values, dtype=float).ravel()
+        if not np.all(seq >= 0):
+            raise ConfigurationError("replayed confidence values must be non-negative")
+        object.__setattr__(self, "values", tuple(seq.tolist()))
+
+    def shift(self, t: int) -> float:
+        if not 1 <= t <= len(self.values):
+            raise ConfigurationError(
+                f"replayed sequence of {len(self.values)} values has no iteration {t}"
+            )
+        return self.values[t - 1]
+
+
+@dataclass(frozen=True)
+class ShiftedExpFinite(ShiftedExp):
+    """Shifted exponential with constant shift 2 log(|X|/2) and rate 1/2.
+
+    Rejected for |X| < 2 rather than clamped: the shift would be negative
+    and the schedule is out of theory there.
+    """
+
+    domain_size: int
+
+    def shift(self, t: int) -> float:
+        return shift_finite(self.domain_size)
+
+
+@dataclass(frozen=True)
+class ShiftedExpContinuous(ShiftedExp):
+    """Shifted exponential with the smoothness-constant shift, rate 1/2."""
+
+    a: float
+    b: float
+    r: float
+    d: int
+
+    def shift(self, t: int) -> float:
+        return shift_continuous(self.a, self.b, self.r, self.d, t)
+
+
+@dataclass(frozen=True)
+class ShiftedExpHighProb(ShiftedExp):
+    """Shifted exponential whose shift is the anytime width, rate 1/2."""
+
+    domain_size: int
+    delta: float
+
+    def shift(self, t: int) -> float:
+        return beta_deterministic(self.domain_size, t, self.delta)
+
+
+@dataclass(frozen=True)
+class HeuristicShiftedExp(ShiftedExp):
     """Shifted exponential with shift d/2 and rate 1/2."""
 
     d: int
@@ -240,42 +291,47 @@ class HeuristicShiftedExp:
         if self.d < 1:
             raise ConfigurationError("dimension d must be >= 1")
 
-
-ConfidenceSchedule = (
-    Constant
-    | DeterministicUcb
-    | GammaRandomized
-    | ShiftedExpFinite
-    | ShiftedExpContinuous
-    | ShiftedExpHighProb
-    | HeuristicUcb
-    | HeuristicShiftedExp
-)
-
-RATE = 0.5  # exponential rate shared by every shifted-exponential variant
+    def shift(self, t: int) -> float:
+        return self.d / 2.0
 
 
-def _shift_of(schedule: ConfidenceSchedule, t: int) -> float:
-    if isinstance(schedule, ShiftedExpFinite):
-        return shift_finite(schedule.domain_size)
-    if isinstance(schedule, ShiftedExpContinuous):
-        return shift_continuous(schedule.a, schedule.b, schedule.r, schedule.d, t)
-    if isinstance(schedule, ShiftedExpHighProb):
-        return beta_deterministic(schedule.domain_size, t, schedule.delta)
-    if isinstance(schedule, HeuristicShiftedExp):
-        return schedule.d / 2.0
-    raise TypeError(f"{type(schedule).__name__} has no exponential shift")
+@dataclass(frozen=True)
+class GammaRandomized:
+    """Gamma-distributed confidence with iteration-growing shape.
+
+    It has no deterministic component, so its shift is zero.
+    """
+
+    domain_size: int
+    theta: float = 1.0
+
+    randomized = True
+
+    def __post_init__(self):
+        if self.domain_size < 1:
+            raise ConfigurationError("domain_size must be >= 1")
+        if not self.theta > 0:
+            raise ConfigurationError("theta must be positive")
+        gamma_shape(self.domain_size, 1)  # fail early on |X| = 1
+
+    def shift(self, t: int) -> float:
+        return 0.0
+
+    def draw(self, t: int, rng) -> float:
+        return sample_gamma_confidence(self.domain_size, t, self.theta, rng)
+
+    def mean(self, t: int) -> float:
+        return self.theta * gamma_shape(self.domain_size, t)
+
+    def quantile(self, t: int, q: float) -> float:
+        _check_level(q)
+        return float(_gamma_dist.ppf(q, gamma_shape(self.domain_size, t), scale=self.theta))
 
 
-def is_randomized(schedule: ConfidenceSchedule) -> bool:
-    return isinstance(
-        schedule,
-        (GammaRandomized, ShiftedExpFinite, ShiftedExpContinuous,
-         ShiftedExpHighProb, HeuristicShiftedExp),
-    )
+ConfidenceSchedule = PointMass | ShiftedExp | GammaRandomized
 
 
-def next_confidence(schedule: ConfidenceSchedule, t: int, rng) -> ConfidenceDraw:
+def next_confidence(schedule: ConfidenceSchedule, t: int, rng) -> float:
     """Produce iteration t's confidence parameter.
 
     Deterministic variants ignore the generator; randomized ones advance it
@@ -283,45 +339,4 @@ def next_confidence(schedule: ConfidenceSchedule, t: int, rng) -> ConfidenceDraw
     """
     if t < 1:
         raise ConfigurationError("iteration index must be >= 1")
-    if isinstance(schedule, Constant):
-        return ConfidenceDraw(schedule.c, schedule.c)
-    if isinstance(schedule, DeterministicUcb):
-        beta = beta_deterministic(schedule.domain_size, t, schedule.delta)
-        return ConfidenceDraw(beta, beta)
-    if isinstance(schedule, HeuristicUcb):
-        beta = heuristic_beta(schedule.d, t)
-        return ConfidenceDraw(beta, beta)
-    if isinstance(schedule, GammaRandomized):
-        value = sample_gamma_confidence(schedule.domain_size, t, schedule.theta, rng)
-        return ConfidenceDraw(value, 0.0)
-    s = _shift_of(schedule, t)
-    return ConfidenceDraw(sample_shifted_exponential(s, RATE, rng), s)
-
-
-def schedule_mean(schedule: ConfidenceSchedule, t: int) -> float:
-    """Analytic expectation of the iteration-t confidence value."""
-    if isinstance(schedule, Constant):
-        return schedule.c
-    if isinstance(schedule, DeterministicUcb):
-        return beta_deterministic(schedule.domain_size, t, schedule.delta)
-    if isinstance(schedule, HeuristicUcb):
-        return heuristic_beta(schedule.d, t)
-    if isinstance(schedule, GammaRandomized):
-        return schedule.theta * gamma_shape(schedule.domain_size, t)
-    return _shift_of(schedule, t) + 1.0 / RATE
-
-
-def schedule_quantile(schedule: ConfidenceSchedule, t: int, q: float) -> float:
-    """Analytic q-quantile of the iteration-t confidence value.
-
-    Deterministic schedules are point masses, so every quantile equals the
-    value itself. Shifted-exponential quantiles are s - log(1 - q)/rate.
-    """
-    if not 0.0 < q < 1.0:
-        raise ConfigurationError("quantile level must lie in (0, 1)")
-    if isinstance(schedule, (Constant, DeterministicUcb, HeuristicUcb)):
-        return schedule_mean(schedule, t)
-    if isinstance(schedule, GammaRandomized):
-        kappa = gamma_shape(schedule.domain_size, t)
-        return float(_gamma_dist.ppf(q, kappa, scale=schedule.theta))
-    return _shift_of(schedule, t) - math.log(1.0 - q) / RATE
+    return schedule.draw(t, rng)

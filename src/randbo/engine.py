@@ -46,7 +46,7 @@ from .acquisition import (
     sample_posterior_path,
     ucb_scores,
 )
-from .confidence import ConfidenceDraw, ConfidenceSchedule, next_confidence
+from .confidence import ConfidenceSchedule, next_confidence
 from .errors import ConfigurationError, NumericalError, RandboError
 from .rng import (
     CANDIDATES,
@@ -155,7 +155,6 @@ class BoTrace:
     selected_index: np.ndarray   # within-iteration candidate index
     selected_x: np.ndarray       # (T, d)
     zeta_value: np.ndarray       # nan for non-UCB acquisitions
-    zeta_shift: np.ndarray
     observed_y: np.ndarray
     mean_at_selection: np.ndarray
     sd_at_selection: np.ndarray
@@ -183,27 +182,22 @@ class RunConfig:
     initial_design: int | Sequence | None = None
     refit_period: int | None = None
     refit_grid: tuple[gp.KernelSpec, ...] | None = None
-    zeta_sequence: np.ndarray | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
         if not self.noise_variance > 0:
             raise ConfigurationError("model noise_variance must be positive")
-        if self.acquisition.kind == "ucb" and self.schedule is None and self.zeta_sequence is None:
+        if self.acquisition.kind == "ucb" and self.schedule is None:
             raise ConfigurationError("UCB acquisition needs a confidence schedule")
+        if self.schedule is not None:
+            # Fails for a schedule that ends before the horizon (a short Replay).
+            self.schedule.shift(self.horizon)
         if self.refit_period is not None:
             if self.refit_period < 1:
                 raise ConfigurationError("refit_period must be >= 1")
             if not self.refit_grid:
                 raise ConfigurationError("refit_period requires a refit_grid of kernels")
-        if self.zeta_sequence is not None:
-            seq = np.asarray(self.zeta_sequence, dtype=float)
-            if seq.shape[0] < self.horizon or np.any(seq < 0):
-                raise ConfigurationError(
-                    "zeta_sequence must cover the horizon with non-negative values"
-                )
-            object.__setattr__(self, "zeta_sequence", seq)
 
 
 class _MomentCache:
@@ -354,7 +348,6 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
     sel_idx = np.empty(T, dtype=int)
     sel_x = np.empty((T, instance.candidates.dim))
     zeta_val = np.full(T, np.nan)
-    zeta_shift = np.full(T, np.nan)
     obs_y = np.empty(T)
     mu_sel = np.empty(T)
     sd_sel = np.empty(T)
@@ -390,13 +383,9 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 mean, var = cache.moments()
 
             if kind == "ucb":
-                if config.zeta_sequence is not None:
-                    draw = ConfidenceDraw(float(config.zeta_sequence[t - 1]), np.nan)
-                else:
-                    draw = next_confidence(config.schedule, t, conf_rng)
-                zeta_val[t - 1] = draw.value
-                zeta_shift[t - 1] = draw.shift
-                idx = int(np.argmax(ucb_scores(mean, var, draw.value)))
+                beta = next_confidence(config.schedule, t, conf_rng)
+                zeta_val[t - 1] = beta
+                idx = int(np.argmax(ucb_scores(mean, var, beta)))
             elif kind == "ei":
                 incumbent = float(np.max(state.outputs)) if state.n_obs else 0.0
                 idx = int(np.argmax(expected_improvement(mean, var, incumbent)))
@@ -442,7 +431,6 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
         selected_index=sel_idx,
         selected_x=sel_x,
         zeta_value=zeta_val,
-        zeta_shift=zeta_shift,
         observed_y=obs_y,
         mean_at_selection=mu_sel,
         sd_at_selection=sd_sel,

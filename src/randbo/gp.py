@@ -398,7 +398,7 @@ def posterior(state: GpState, x) -> PosteriorStats:
     return PosteriorStats(float(mean[0]), float(var[0]))
 
 
-def _jittered_cholesky(K: np.ndarray, scale: float) -> np.ndarray:
+def _jittered_cholesky(K: np.ndarray, scale: float, label: str = "prior Gram") -> np.ndarray:
     """Lower Cholesky factor of K plus the smallest escalated diagonal jitter.
 
     The jitter starts at ``JITTER_START * scale`` and grows x10 per failed
@@ -406,7 +406,7 @@ def _jittered_cholesky(K: np.ndarray, scale: float) -> np.ndarray:
     attempt writes diag(K) + jitter onto K's diagonal in place, the same
     matrix as ``K + jitter * I`` without m x m temporaries, and K's diagonal
     is restored before returning. Escalation past the start value is
-    reported by one warning naming the jitter it ended at.
+    reported by one warning naming ``label`` and the jitter it ended at.
     """
     m = K.shape[0]
     diag = K.diagonal().copy()
@@ -420,12 +420,12 @@ def _jittered_cholesky(K: np.ndarray, scale: float) -> np.ndarray:
             jitter *= 10.0
             if jitter > JITTER_MAX * scale:
                 raise NumericalError(
-                    f"prior Gram not factorizable within jitter cap {JITTER_MAX * scale:.1e}"
+                    f"{label} not factorizable within jitter cap {JITTER_MAX * scale:.1e}"
                 )
     K.flat[:: m + 1] = diag
     if jitter > JITTER_START * scale:
         warnings.warn(
-            f"prior Gram of {m} points needed diagonal jitter {jitter:.1e} to factorize",
+            f"{label} of {m} points needed diagonal jitter {jitter:.1e} to factorize",
             RuntimeWarning, stacklevel=3,
         )
     return L

@@ -1,6 +1,7 @@
 """Tests for regret metrics, bound calculators, and Monte-Carlo harnesses."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from randbo import analysis as an
 from randbo import gp
 from randbo.acquisition import CandidateSet
-from randbo.confidence import ShiftedExpFinite, shift_continuous
+from randbo.confidence import Replay, ShiftedExpFinite, shift_continuous
 from randbo.engine import (
     BoTrace,
     FixedInstanceSampler,
@@ -28,7 +29,7 @@ def synthetic_trace(regrets):
     z = np.zeros(T)
     return BoTrace(
         horizon=T, selected_index=np.zeros(T, dtype=int),
-        selected_x=np.zeros((T, 1)), zeta_value=z.copy(), zeta_shift=z.copy(),
+        selected_x=np.zeros((T, 1)), zeta_value=z.copy(),
         observed_y=z.copy(), mean_at_selection=z.copy(), sd_at_selection=z.copy(),
         instantaneous_regret=r, cumulative_regret=np.cumsum(r),
         initial_x=np.empty((0, 1)), initial_y=np.empty(0), initial_indices=None,
@@ -92,7 +93,7 @@ class TestEstimateBcr:
         # evaluated by tensor Gauss-Hermite with 64 nodes per dimension.
         sampler = an.counterexample_instance(0.0)
         cfg = RunConfig(kernel=sampler.kernel, horizon=2, noise_variance=1.0,
-                        zeta_sequence=np.zeros(2))
+                        schedule=Replay(np.zeros(2)))
         summary = an.estimate_bcr(sampler, cfg, 600, 17)
 
         nodes, weights = np.polynomial.hermite_e.hermegauss(64)
@@ -110,10 +111,17 @@ class TestEstimateBcr:
 
 
 class TestConditionalRegret:
+    def test_sequence_shorter_than_horizon_rejected(self):
+        sampler = an.counterexample_instance(0.0)
+        cfg = RunConfig(kernel=sampler.kernel, horizon=4, noise_variance=1.0,
+                        schedule=ShiftedExpFinite(2))
+        with pytest.raises(ConfigurationError):
+            an.estimate_conditional_regret(sampler, cfg, np.zeros(3), 5, 0)
+
     def test_zero_sequence_equals_greedy_bcr(self):
         sampler = an.counterexample_instance(0.0)
         cfg = RunConfig(kernel=sampler.kernel, horizon=3, noise_variance=1.0,
-                        zeta_sequence=np.zeros(3))
+                        schedule=Replay(np.zeros(3)))
         greedy = an.estimate_bcr(sampler, cfg, 50, 5)
         base = RunConfig(kernel=sampler.kernel, horizon=3, noise_variance=1.0,
                          schedule=ShiftedExpFinite(2))
@@ -180,6 +188,15 @@ class TestInformationGain:
         greedy = an.greedy_information_gain(kernel, pts, 10, 1e-2)
         arbitrary = an.realized_information_gain(kernel, pts[:10], 1e-2)
         assert greedy >= arbitrary - 1e-9
+
+    def test_certified_gain_scales_greedy_by_one_minus_inverse_e(self):
+        # Two uncorrelated unit-variance points: greedy takes both, gaining
+        # 0.5 log(1 + 1/sigma^2) each.
+        greedy = an.greedy_information_gain(se(1), [[0.0], [5.0]], 2, 1e-2)
+        assert greedy == pytest.approx(math.log(101.0), abs=1e-12)
+        certified = greedy / an.GREEDY_GAIN_FRACTION
+        assert certified == pytest.approx(math.log(101.0) / (1.0 - math.exp(-1.0)), abs=1e-12)
+        assert certified == pytest.approx(7.30101, abs=1e-5)
 
 
 class TestBoundCalculators:
@@ -299,6 +316,15 @@ class TestValidateOptimumBound:
         y = rng.normal(size=10)
         check = an.validate_optimum_bound(se(2), cands, (X, y), 1e-2, 100000, 2)
         assert check.holds()
+
+    def test_covariance_jitter_escalation_warns(self, require_jitter):
+        pts = np.linspace(0, 1e-4, 200)[:, None]
+        require_jitter(1e-8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            an.validate_optimum_bound(se(1, ell=10.0), pts, None, 1e-2, 100, 0)
+        assert [str(w.message) for w in caught] == [
+            "posterior covariance of 200 points needed diagonal jitter 1.0e-08 to factorize"]
 
 
 class TestCounterexample:

@@ -235,6 +235,34 @@ class TestRunExperiment:
         reports = json.loads((out / "bounds.json").read_text())
         assert reports[0]["name"] == "conditional_regret_bound"
 
+    CONDITIONAL = ("kind = conditional_regret\ngrid.count = 3\ngrid.dim = 1\n"
+                   "horizon = 5\nn_reps = 2\nkernel.lengthscale = 0.3\n"
+                   "irgp_ucb_continuous.a = 2\nirgp_ucb_continuous.b = 1\n")
+
+    def test_conditional_bound_certifies_gain_and_continuous_term(self, tmp_path):
+        from randbo import analysis as an
+        from randbo import confidence as cf
+
+        cfg, out, status = self.run_into(
+            tmp_path, self.CONDITIONAL + "algorithms = irgp_ucb_continuous\n")
+        assert status == 0
+        [report] = json.loads((out / "bounds.json").read_text())
+        inputs = report["inputs"]
+        assert inputs["s_T"] == cf.shift_continuous(2.0, 1.0, 1.0, 1, 5)
+        assert inputs["gamma_certified"] == pytest.approx(
+            inputs["gamma_greedy"] / (1.0 - math.exp(-1.0)), rel=1e-12)
+        finite_part = an.conditional_bound_U(5, inputs["delta"], inputs["s_T"],
+                                             cfg.noise_variance, inputs["gamma_certified"])
+        assert report["value"] == pytest.approx(finite_part + math.pi**2 / 6, rel=1e-12)
+
+    def test_conditional_heuristic_writes_no_bound(self, tmp_path):
+        _, out, status = self.run_into(
+            tmp_path, self.CONDITIONAL + "algorithms = irgp_ucb_heuristic\n")
+        assert status == 0
+        assert not (out / "bounds.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "bounds.json" not in manifest["outputs"]
+
 
 class TestConfidenceProfile:
     def test_figure_style_columns(self):
@@ -294,6 +322,22 @@ class TestMainEntry:
         header = (out / "confidence_profile.csv").read_text().splitlines()[0]
         assert header.split(",")[0] == "t"
         assert "irgp_ucb_mean" in header and "gp_ucb_q975" in header
+
+    def test_profile_tabular_uses_the_csv_domain(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("f1,f2,target\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n", encoding="utf-8")
+        cfg_file = tmp_path / "tab.txt"
+        cfg_file.write_text(f"kind = tabular\ntabular.path = {data}\n"
+                            "tabular.objective = target\nhorizon = 3\n"
+                            "algorithms = irgp_ucb, irgp_ucb_heuristic\n", encoding="utf-8")
+        out = tmp_path / "prof"
+        assert cli.main(["profile-confidence", str(cfg_file), "--out", str(out)]) == 0
+        lines = (out / "confidence_profile.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        first = [float(v) for v in lines[1].split(",")]
+        # 4 rows, 2 features: shift 2 log(4/2) and d/2 = 1, each plus 2.
+        assert first[header.index("irgp_ucb_mean")] == pytest.approx(2 * math.log(2) + 2)
+        assert first[header.index("irgp_ucb_heuristic_mean")] == pytest.approx(3.0)
 
     def test_check_bounds_quick(self, tmp_path, capsys):
         status = cli.main(["check", "bounds", "--quick", "--out", str(tmp_path / "c")])

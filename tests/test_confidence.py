@@ -48,7 +48,7 @@ class TestShiftFinite:
     def test_mean_constant_in_iteration(self):
         sched = cf.ShiftedExpFinite(1000)
         for t in (1, 10, 100, 1000):
-            assert cf.schedule_mean(sched, t) == pytest.approx(14.42922, abs=1e-5)
+            assert sched.mean(t) == pytest.approx(14.42922, abs=1e-5)
 
 
 class TestShiftContinuous:
@@ -120,7 +120,7 @@ class TestHeuristics:
 
     def test_shifted_exp_companion_mean(self):
         sched = cf.HeuristicShiftedExp(d=3)
-        assert cf.schedule_mean(sched, 17) == pytest.approx(3 / 2 + 2)
+        assert sched.mean(17) == pytest.approx(3 / 2 + 2)
 
 
 class TestDiscretizationGrid:
@@ -142,24 +142,25 @@ class TestDiscretizationGrid:
 
 class TestNextConfidence:
     def test_constant(self):
-        draw = cf.next_confidence(cf.Constant(4.0), 9, np.random.default_rng(0))
-        assert draw.value == 4.0 and draw.shift == 4.0
+        sched = cf.Constant(4.0)
+        value = cf.next_confidence(sched, 9, np.random.default_rng(0))
+        assert value == 4.0 and sched.shift(9) == 4.0
 
     def test_finite_support(self):
         sched = cf.ShiftedExpFinite(1000)
         rng = np.random.default_rng(0)
         lo = 2 * math.log(500)
         for t in (1, 7, 30):
-            draw = cf.next_confidence(sched, t, rng)
-            assert draw.value >= lo and draw.shift == pytest.approx(lo)
+            value = cf.next_confidence(sched, t, rng)
+            assert value >= lo and sched.shift(t) == pytest.approx(lo)
 
     def test_high_prob_shift_value(self):
         sched = cf.ShiftedExpHighProb(1000, 0.05)
-        draw = cf.next_confidence(sched, 3, np.random.default_rng(0))
+        value = cf.next_confidence(sched, 3, np.random.default_rng(0))
         want = 2 * math.log(1000 * 9 * math.pi**2 / 0.3)
-        assert draw.shift == pytest.approx(want, abs=1e-12)
+        assert sched.shift(3) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(25.2, abs=0.05)
-        assert draw.value >= draw.shift
+        assert value >= sched.shift(3)
 
     def test_deterministic_variants_ignore_rng(self):
         rng = np.random.default_rng(0)
@@ -184,8 +185,8 @@ class TestNextConfidence:
         for sched in (cf.ShiftedExpFinite(50), cf.GammaRandomized(50),
                       cf.ShiftedExpContinuous(2, 1, 1, 2), cf.HeuristicShiftedExp(4)):
             rng_a, rng_b = np.random.default_rng(99), np.random.default_rng(99)
-            a = [cf.next_confidence(sched, t, rng_a).value for t in range(1, 51)]
-            b = [cf.next_confidence(sched, t, rng_b).value for t in range(1, 51)]
+            a = [cf.next_confidence(sched, t, rng_a) for t in range(1, 51)]
+            b = [cf.next_confidence(sched, t, rng_b) for t in range(1, 51)]
             assert a == b
 
 
@@ -200,23 +201,23 @@ class TestScheduleDistributions:
         ]
         for sched, t, want in cases:
             rng = np.random.default_rng(42)
-            draws = np.array([cf.next_confidence(sched, t, rng).value for _ in range(n)])
+            draws = np.array([cf.next_confidence(sched, t, rng) for _ in range(n)])
             se = draws.std(ddof=1) / math.sqrt(n)
             assert abs(draws.mean() - want) < 3 * se, sched
 
     def test_finite_schedule_iteration_invariant_distribution(self):
         sched = cf.ShiftedExpFinite(64)
         rng = np.random.default_rng(42)
-        at_t1 = np.array([cf.next_confidence(sched, 1, rng).value for _ in range(20000)])
-        at_t100 = np.array([cf.next_confidence(sched, 100, rng).value for _ in range(20000)])
+        at_t1 = np.array([cf.next_confidence(sched, 1, rng) for _ in range(20000)])
+        at_t100 = np.array([cf.next_confidence(sched, 100, rng) for _ in range(20000)])
         assert ks_2samp(at_t1, at_t100).pvalue > 0.01
 
     def test_growing_schedules_non_decreasing(self):
         det = cf.DeterministicUcb(40, 0.2)
         cont = cf.ShiftedExpContinuous(2.0, 1.0, 1.0, 3)
         rng = np.random.default_rng(0)
-        det_vals = [cf.next_confidence(det, t, rng).value for t in range(1, 200)]
-        cont_shifts = [cf.next_confidence(cont, t, rng).shift for t in range(1, 200)]
+        det_vals = [cf.next_confidence(det, t, rng) for t in range(1, 200)]
+        cont_shifts = [cont.shift(t) for t in range(1, 200)]
         assert all(b >= a for a, b in zip(det_vals, det_vals[1:]))
         assert all(b >= a for a, b in zip(cont_shifts, cont_shifts[1:]))
 
@@ -224,24 +225,100 @@ class TestScheduleDistributions:
 class TestScheduleQuantiles:
     def test_shifted_exp_quantiles(self):
         sched = cf.ShiftedExpFinite(1000)
-        q975 = cf.schedule_quantile(sched, 1, 0.975)
+        q975 = sched.quantile(1, 0.975)
         assert q975 == pytest.approx(2 * math.log(500) - 2 * math.log(0.025), abs=1e-12)
         assert q975 == pytest.approx(19.807, abs=1e-3)
 
     def test_gamma_quantiles_bracket_mean(self):
         sched = cf.GammaRandomized(1000, 1.0)
-        lo = cf.schedule_quantile(sched, 1, 0.025)
-        hi = cf.schedule_quantile(sched, 1, 0.975)
-        assert lo < cf.schedule_mean(sched, 1) < hi
+        lo = sched.quantile(1, 0.025)
+        hi = sched.quantile(1, 0.975)
+        assert lo < sched.mean(1) < hi
 
     def test_empirical_coverage(self):
         sched = cf.ShiftedExpFinite(30)
         rng = np.random.default_rng(42)
-        draws = np.array([cf.next_confidence(sched, 5, rng).value for _ in range(50000)])
-        lo = cf.schedule_quantile(sched, 5, 0.025)
-        hi = cf.schedule_quantile(sched, 5, 0.975)
+        draws = np.array([cf.next_confidence(sched, 5, rng) for _ in range(50000)])
+        lo = sched.quantile(5, 0.025)
+        hi = sched.quantile(5, 0.975)
         inside = np.mean((draws >= lo) & (draws <= hi))
         assert inside == pytest.approx(0.95, abs=0.01)
+
+
+def _contract_schedules():
+    """Every UCB algorithm's schedule as the CLI builds it, plus a Replay."""
+    from randbo import cli
+    from randbo.config import ALGORITHMS, parse_text
+
+    config = parse_text("kind = synthetic_bcr\nirgp_ucb_continuous.a = 2\n"
+                        "irgp_ucb_continuous.b = 1\n")
+    built = [(name, cli.build_algorithm(name, config, 50, 2)[1]) for name in ALGORITHMS]
+    built = [(name, sched) for name, sched in built if sched is not None]
+    return built + [("replay", cf.Replay([0.5, 3.0, 1.25, 0.0, 7.0]))]
+
+
+CONTRACT = _contract_schedules()
+DETERMINISTIC = [pytest.param(s, id=n) for n, s in CONTRACT if not s.randomized]
+RANDOMIZED = [pytest.param(s, id=n) for n, s in CONTRACT if s.randomized]
+
+
+def _one_sampler_call(sched, t, rng):
+    """Iteration t's draw as one direct call of the sampler behind ``sched``."""
+    if isinstance(sched, cf.GammaRandomized):
+        return cf.sample_gamma_confidence(sched.domain_size, t, sched.theta, rng)
+    return cf.sample_shifted_exponential(sched.shift(t), cf.RATE, rng)
+
+
+class TestScheduleContract:
+    def test_covers_every_ucb_algorithm(self):
+        assert len(CONTRACT) == 9
+        assert len(DETERMINISTIC) == 4 and len(RANDOMIZED) == 5
+
+    @pytest.mark.parametrize("sched", DETERMINISTIC)
+    def test_deterministic_is_its_shift_and_leaves_rng(self, sched):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for t in range(1, 6):
+            s = sched.shift(t)
+            assert cf.next_confidence(sched, t, rng) == s
+            assert sched.mean(t) == s
+            assert sched.quantile(t, 0.025) == s and sched.quantile(t, 0.975) == s
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("sched", RANDOMIZED)
+    def test_randomized_advances_rng_once(self, sched):
+        for t in (1, 4):
+            rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+            before = rng.bit_generator.state
+            value = cf.next_confidence(sched, t, rng)
+            assert value == _one_sampler_call(sched, t, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state != before
+            assert value >= sched.shift(t)
+
+    @pytest.mark.parametrize("sched", RANDOMIZED)
+    def test_randomized_monte_carlo_mean(self, sched):
+        n, t = 20000, 3
+        rng = np.random.default_rng(123)
+        draws = np.array([cf.next_confidence(sched, t, rng) for _ in range(n)])
+        assert draws.min() >= sched.shift(t)
+        se = draws.std(ddof=1) / math.sqrt(n)
+        assert abs(draws.mean() - sched.mean(t)) < 4 * se
+
+    def test_replay_rejects_negative_values(self):
+        with pytest.raises(ConfigurationError):
+            cf.Replay([1.0, -0.5, 2.0])
+
+    def test_replay_rejects_sequence_shorter_than_horizon(self):
+        from randbo import gp
+        from randbo.engine import RunConfig
+
+        sched = cf.Replay([1.0, 2.0, 3.0])
+        with pytest.raises(ConfigurationError):
+            cf.next_confidence(sched, 4, np.random.default_rng(0))
+        kernel = gp.KernelSpec.isotropic("squared_exponential", 0.3, 1)
+        RunConfig(kernel=kernel, horizon=3, schedule=sched)
+        with pytest.raises(ConfigurationError):
+            RunConfig(kernel=kernel, horizon=4, schedule=sched)
 
 
 class TestValidation:

@@ -8,7 +8,7 @@ import pytest
 from randbo import gp
 from randbo.acquisition import CandidateSet, build_rff, pims_select, ts_select
 from randbo.analysis import CounterexampleSampler
-from randbo.confidence import Constant, ShiftedExpFinite, next_confidence
+from randbo.confidence import Constant, Replay, ShiftedExpFinite, next_confidence
 from randbo.engine import (
     AcquisitionSpec,
     FixedInstanceSampler,
@@ -79,7 +79,7 @@ class TestRunBo:
         pts = CandidateSet([[0.0], [1.0], [2.0]])
         inst = ProblemInstance.finite(pts, [0.0, 3.0, 1.0], 0.0)
         cfg = RunConfig(kernel=se(1, ell=0.1), horizon=5, noise_variance=1e-6,
-                        zeta_sequence=np.zeros(5), initial_design=[1])
+                        schedule=Replay(np.zeros(5)), initial_design=[1])
         trace = run_bo(inst, cfg, 3)
         assert trace.selected_index.tolist() == [1] * 5
         assert trace.cumulative_regret[-1] == 0.0
@@ -427,7 +427,7 @@ def _conjugate_ucb(f, schedule, horizon, seed, rep):
     picks = []
     for t in range(1, horizon + 1):
         precision = 1.0 / prior_var + counts
-        beta = next_confidence(schedule, t, conf_rng).value
+        beta = next_confidence(schedule, t, conf_rng)
         scores = sums / precision + np.sqrt(beta / precision)
         idx = int(scores[1] > scores[0])
         counts[idx] += 1
