@@ -1,11 +1,10 @@
 """Acquisition rules over a finite candidate set.
 
-UCB selection, expected improvement, and the two posterior-sample rules
-(max of a sampled path, and probability of improvement against the max of
-a sampled path). Sample paths are drawn by decoupled pathwise conditioning:
-a random-Fourier-feature prior path corrected by an exact-kernel data
-update. Ties always break toward the lowest candidate index so selections
-are reproducible.
+UCB, expected-improvement and improvement-probability scores of posterior
+moments, and the posterior sample paths of Thompson sampling and PIMS,
+drawn by decoupled pathwise conditioning: a random-Fourier-feature prior
+path corrected by an exact-kernel data update. Ties always break toward the
+lowest candidate index so selections are reproducible.
 """
 
 from __future__ import annotations
@@ -63,22 +62,8 @@ class CandidateSet:
         return self.points.shape[1]
 
 
-def _points_of(candidates) -> np.ndarray:
-    return candidates.points if isinstance(candidates, CandidateSet) else np.asarray(candidates, dtype=float)
-
-
-def ucb_select(state: gp.GpState, candidates, confidence: float) -> tuple[int, float]:
-    """Index and score of argmax mu(x) + sqrt(confidence) * sd(x)."""
-    if confidence < 0:
-        raise ConfigurationError("confidence must be non-negative")
-    mean, var = gp.posterior_batch(state, _points_of(candidates))
-    scores = mean + math.sqrt(confidence) * np.sqrt(var)
-    idx = int(np.argmax(scores))
-    return idx, float(scores[idx])
-
-
 def ucb_scores(mean: np.ndarray, var: np.ndarray, confidence: float) -> np.ndarray:
-    """Scores for precomputed posterior moments (engine fast path)."""
+    """UCB scores mu + sqrt(confidence) * sd for posterior moments."""
     if confidence < 0:
         raise ConfigurationError("confidence must be non-negative")
     return mean + math.sqrt(confidence) * np.sqrt(np.maximum(var, 0.0))
@@ -96,14 +81,6 @@ def expected_improvement(mean: np.ndarray, var: np.ndarray,
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         out[pos] = gain[pos] * ndtr(z) + sd[pos] * pdf
     return out
-
-
-def ei_select(state: gp.GpState, candidates, incumbent: float) -> tuple[int, float]:
-    """Index and score of argmax expected improvement over ``incumbent``."""
-    mean, var = gp.posterior_batch(state, _points_of(candidates))
-    scores = expected_improvement(mean, var, float(incumbent))
-    idx = int(np.argmax(scores))
-    return idx, float(scores[idx])
 
 
 @dataclass(frozen=True)
@@ -212,20 +189,22 @@ def path_inputs(state: gp.GpState, rff: RffModel,
     return features, np.arange(m, m + n), gp.cross_solve(state, pts)
 
 
-def ts_select(state: gp.GpState, rff: RffModel, candidates, seed) -> int:
-    """Argmax of one posterior sample path over the candidates."""
-    pts = _points_of(candidates)
+def ts_select(state: gp.GpState, rff: RffModel, pts: np.ndarray, seed) -> int:
+    """Argmax over ``pts`` of one posterior sample path.
+
+    The engine replay tests' fresh-input reference: ``path_inputs`` rebuilds its inputs.
+    """
     return int(np.argmax(sample_posterior_path(state, *path_inputs(state, rff, pts), seed)))
 
 
-def pims_select(state: gp.GpState, rff: RffModel, candidates, seed) -> int:
+def pims_select(state: gp.GpState, rff: RffModel, pts: np.ndarray, seed) -> int:
     """Probability-of-improvement selection thresholded at a sampled path's max.
 
-    Draws one path, takes its candidate-set maximum as the improvement
+    Draws one path, takes its maximum over ``pts`` as the improvement
     threshold, then maximizes Phi((mu - threshold)/sd). Zero-variance points
-    score 1 when mu clears the threshold and 0 otherwise.
+    score 1 when mu clears the threshold and 0 otherwise. Like ``ts_select``,
+    a fresh-input reference: ``path_inputs`` and ``posterior_batch`` rebuild it.
     """
-    pts = _points_of(candidates)
     f_star = float(np.max(sample_posterior_path(state, *path_inputs(state, rff, pts), seed)))
     mean, var = gp.posterior_batch(state, pts)
     return int(np.argmax(pims_scores(mean, var, f_star)))

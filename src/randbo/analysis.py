@@ -72,16 +72,6 @@ class RegretSummary:
         )
 
 
-def regret_metrics(trace: BoTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Instantaneous, cumulative, and simple regret curves of one trace.
-
-    Simple regret at t is the optimum value minus the best true value
-    selected so far, i.e. the running minimum of instantaneous regret.
-    """
-    inst = trace.instantaneous_regret
-    return inst, np.cumsum(inst), np.minimum.accumulate(inst)
-
-
 def _stderr(rows: np.ndarray) -> np.ndarray:
     n = rows.shape[0]
     if n < 2:
@@ -329,8 +319,8 @@ class InequalityCheck:
     def combined_stderr(self) -> float:
         return math.hypot(self.lhs_stderr, self.rhs_stderr)
 
-    def holds(self, n_stderr: float = 3.0) -> bool:
-        return self.lhs <= self.rhs + n_stderr * self.combined_stderr
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs + 3.0 * self.combined_stderr
 
 
 def validate_optimum_bound(kernel: gp.Kernel, candidates, dataset,
@@ -471,6 +461,9 @@ LINEAR_CONSISTENT = "linear-consistent"
 SUBLINEAR_CONSISTENT = "sublinear-consistent"
 INCONCLUSIVE = "inconclusive"
 
+LINEAR_THRESHOLD = 0.8
+SUBLINEAR_THRESHOLD = 0.6
+
 
 @dataclass(frozen=True)
 class SlopeResult:
@@ -481,8 +474,6 @@ class SlopeResult:
 
 
 def regret_slope_test(first: RegretSummary, second: RegretSummary,
-                      linear_threshold: float = 0.8,
-                      sublinear_threshold: float = 0.6,
                       start: int | None = None) -> SlopeResult:
     """Compare per-step mean regret at two horizons.
 
@@ -490,14 +481,13 @@ def regret_slope_test(first: RegretSummary, second: RegretSummary,
     (BCR_T2/T2)/(BCR_T1/T1). With ``start`` they are the per-step regret
     increments over the adjacent windows (start, T1] and (T1, T2], which
     leave out the learning transient before ``start`` that a cumulative
-    average keeps carrying. A ratio near 1 is consistent with linear
-    growth; a clear drop is consistent with sublinear growth. Thresholds
-    are configurable; a zero first-window rate is inconclusive.
+    average keeps carrying. A ratio at or above ``LINEAR_THRESHOLD`` is
+    consistent with linear growth, one at or below ``SUBLINEAR_THRESHOLD``
+    with sublinear growth, anything between is inconclusive, and so is a
+    zero first-window rate.
     """
     if second.horizon <= first.horizon:
         raise ConfigurationError("slope test needs increasing horizons")
-    if not 0.0 < sublinear_threshold <= linear_threshold:
-        raise ConfigurationError("thresholds must satisfy 0 < sublinear <= linear")
     if start is None:
         rate1 = first.mean_cumulative_regret / first.horizon
         rate2 = second.mean_cumulative_regret / second.horizon
@@ -511,9 +501,9 @@ def regret_slope_test(first: RegretSummary, second: RegretSummary,
     if rate1 == 0.0:
         return SlopeResult(float("nan"), INCONCLUSIVE, rate1, rate2)
     ratio = rate2 / rate1
-    if ratio >= linear_threshold:
+    if ratio >= LINEAR_THRESHOLD:
         verdict = LINEAR_CONSISTENT
-    elif ratio <= sublinear_threshold:
+    elif ratio <= SUBLINEAR_THRESHOLD:
         verdict = SUBLINEAR_CONSISTENT
     else:
         verdict = INCONCLUSIVE

@@ -307,11 +307,3 @@ def ingest_tabular(path, objective_column: str) -> tuple[TabularDataset, Problem
     )
     return dataset, instance
 
-
-def write_tabular(dataset: TabularDataset, path) -> None:
-    """Serialize a dataset back to the CSV contract (round-trips exactly)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [dataset.objective_name])
-        for row, y in zip(dataset.features, dataset.objective):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])

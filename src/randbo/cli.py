@@ -170,12 +170,12 @@ def build_algorithm(name: str, config: ExperimentConfig, domain_size: int,
 
 
 def _run_config_for(config: ExperimentConfig, name: str, domain_size: int,
-                    dim: int, kernel, horizon: int | None = None) -> RunConfig:
+                    dim: int, kernel) -> RunConfig:
     acquisition, schedule = build_algorithm(name, config, domain_size, dim)
     period, grid = build_refit_grid(config, dim)
     return RunConfig(
         kernel=kernel,
-        horizon=horizon or config.horizon,
+        horizon=config.horizon,
         acquisition=acquisition,
         schedule=schedule,
         noise_variance=config.noise_variance,
@@ -221,23 +221,18 @@ def _domain(config: ExperimentConfig):
     return grid, grid.size, grid.dim
 
 
-def _run_grid_experiment(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    grid, domain_size, dim = _domain(config)
+def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+    """Every configured algorithm on one instance family.
+
+    The synthetic kind redraws its objective on the grid per replication;
+    the benchmark and tabular kinds rerun one fixed instance.
+    """
+    source, domain_size, dim = _domain(config)
     kernel = build_kernel(config, dim)
-    sampler = bench.SyntheticInstanceSampler(kernel, grid, config.noise_stddev)
-    return _run_roster(config, out, sampler, kernel, domain_size, dim)
-
-
-def _run_fixed_instance(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    instance, domain_size, dim = _domain(config)
-    kernel = build_kernel(config, dim)
-    return _run_roster(config, out, FixedInstanceSampler(instance), kernel,
-                       domain_size, dim)
-
-
-def _run_roster(config: ExperimentConfig, out: Path, sampler, kernel,
-                domain_size: int, dim: int) -> tuple[list[str], int]:
-    """Shared runner: every configured algorithm on one instance family."""
+    if config.kind == "synthetic_bcr":
+        sampler = bench.SyntheticInstanceSampler(kernel, source, config.noise_stddev)
+    else:
+        sampler = FixedInstanceSampler(source)
     outputs: list[str] = []
     reports: list[analysis.BoundReport] = []
     for name in config.algorithms:
@@ -446,10 +441,10 @@ def _run_bound_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], in
 
 
 RUNNERS = {
-    "synthetic_bcr": _run_grid_experiment,
+    "synthetic_bcr": _run_roster,
     "conditional_regret": _run_conditional,
-    "benchmark": _run_fixed_instance,
-    "tabular": _run_fixed_instance,
+    "benchmark": _run_roster,
+    "tabular": _run_roster,
     "counterexample": _run_counterexample,
     "lemma_check": _run_lemma_check,
     "bound_sweep": _run_bound_sweep,

@@ -50,7 +50,12 @@ def shift_continuous(a: float, b: float, r: float, d: int, t: int) -> float:
     2 d log(b d r t^2 (sqrt(log(a d)) + sqrt(pi)/2)) - 2 log 2; monotone
     non-decreasing in t.
     """
-    _check_smoothness_constants(a, b, r, d)
+    if not (a > 0 and b > 0 and r > 0):
+        raise ConfigurationError("smoothness constants a, b, r must be positive")
+    if d < 1:
+        raise ConfigurationError("dimension d must be >= 1")
+    if a * d <= 1.0:
+        raise ConfigurationError("need a*d > 1 so sqrt(log(a d)) is defined")
     if t < 1:
         raise ConfigurationError("iteration index must be >= 1")
     inner = b * d * r * t * t * (math.sqrt(math.log(a * d)) + math.sqrt(math.pi) / 2.0)
@@ -93,34 +98,6 @@ def heuristic_beta(d: int, t: int) -> float:
     if t < 1:
         raise ConfigurationError("iteration index must be >= 1")
     return 0.2 * d * math.log(2.0 * t)
-
-
-def _check_smoothness_constants(a: float, b: float, r: float, d: int) -> None:
-    if not (a > 0 and b > 0 and r > 0):
-        raise ConfigurationError("smoothness constants a, b, r must be positive")
-    if d < 1:
-        raise ConfigurationError("dimension d must be >= 1")
-    if a * d <= 1.0:
-        raise ConfigurationError("need a*d > 1 so sqrt(log(a d)) is defined")
-
-
-def discretization_grid_size(a: float, b: float, r: float, d: int, u_t: float) -> int:
-    """Per-coordinate point count ceil(b d r u_t (sqrt(log(a d)) + sqrt(pi)/2))."""
-    _check_smoothness_constants(a, b, r, d)
-    if not u_t > 0:
-        raise ConfigurationError("u_t must be positive")
-    tau = b * d * r * u_t * (math.sqrt(math.log(a * d)) + math.sqrt(math.pi) / 2.0)
-    return int(math.ceil(tau))
-
-
-def discretization_coordinates(a: float, b: float, r: float, d: int,
-                               u_t: float) -> np.ndarray:
-    """Per-coordinate grid values j r/(tau+1) for j = 1..tau, strictly inside (0, r).
-
-    The induced grid over [0, r]^d is the d-fold product, tau^d points.
-    """
-    tau = discretization_grid_size(a, b, r, d, u_t)
-    return r * np.arange(1, tau + 1) / (tau + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,9 @@ class _Key:
     name: str
     kind: str  # int | real | bool | str | list
     default: object = None
-    required: bool = False
     choices: tuple | None = None
     minimum: float | None = None
-    maximum: float | None = None
     exclusive_max: float | None = None
-    help: str = ""
 
     def coerce(self, value, errors: list[str]):
         def scalar(v):
@@ -108,9 +105,6 @@ class _Key:
         if self.minimum is not None and out < self.minimum:
             errors.append(f"{self.name}: {out!r} is below the minimum {self.minimum}")
             return None
-        if self.maximum is not None and out > self.maximum:
-            errors.append(f"{self.name}: {out!r} is above the maximum {self.maximum}")
-            return None
         if self.exclusive_max is not None and out >= self.exclusive_max:
             errors.append(f"{self.name}: {out!r} must be below {self.exclusive_max}")
             return None
@@ -120,18 +114,15 @@ class _Key:
 SCHEMA: dict[str, _Key] = {
     k.name: k
     for k in [
-        _Key("kind", "str", required=True, choices=KINDS,
-             help="experiment family to run"),
-        _Key("horizon", "int", default=200, minimum=1,
-             help="acquisition rounds per replication"),
+        _Key("kind", "str", choices=KINDS),
+        _Key("horizon", "int", default=200, minimum=1),
         _Key("n_reps", "int", default=100, minimum=1),
         _Key("base_seed", "int", default=0),
         _Key("n_jobs", "int", default=1, minimum=1),
         _Key("output", "str", default=None),
         _Key("overwrite", "bool", default=False),
-        _Key("noise_variance", "real", default=None, help="surrogate noise variance"),
-        _Key("noise_stddev", "real", default=None, minimum=0.0,
-             help="observation noise standard deviation"),
+        _Key("noise_variance", "real", default=None),
+        _Key("noise_stddev", "real", default=None, minimum=0.0),
         _Key("kernel.family", "str", default="squared_exponential",
              choices=("squared_exponential", "matern52", "matern32")),
         _Key("kernel.lengthscale", "list", default=[0.1]),

@@ -185,18 +185,6 @@ def kernel_diag(kernel: Kernel, X) -> np.ndarray:
     return np.full(X.shape[0], kernel.signal_variance)
 
 
-def kernel_eval(kernel: Kernel, x, x2) -> float:
-    """Scalar kernel value k(x, x2). Symmetric; equals the signal variance at x = x2."""
-    return float(kernel_matrix(kernel, np.atleast_1d(x)[None, :],
-                               np.atleast_1d(x2)[None, :])[0, 0])
-
-
-@dataclass(frozen=True)
-class PosteriorStats:
-    mean: float
-    variance: float
-
-
 class _Buffer:
     """Append-only backing store shared by successive states of one history.
 
@@ -336,7 +324,7 @@ def incremental_update(state: GpState, x, y: float, l_row=None) -> GpState:
 
     pivot_sq = kxx + state.noise_variance - ll
     if pivot_sq <= 0.0:
-        # One shot of diagonal jitter before declaring breakdown; with a
+        # Escalated diagonal jitter before declaring breakdown; with a
         # positive noise variance this is nearly unreachable.
         sv = kxx if kxx > 0 else 1.0
         jitter = JITTER_START * sv
@@ -347,6 +335,8 @@ def incremental_update(state: GpState, x, y: float, l_row=None) -> GpState:
             raise NumericalError(
                 f"non-positive Cholesky pivot ({pivot_sq:.3e}) after jitter at n={n + 1}"
             )
+        warnings.warn(f"Cholesky pivot at n={n + 1} needed diagonal jitter {jitter:.1e}",
+                      RuntimeWarning, stacklevel=2)
     pivot = math.sqrt(pivot_sq)
 
     buf = state._buf
@@ -390,12 +380,6 @@ def posterior_batch(state: GpState, X) -> tuple[np.ndarray, np.ndarray]:
     mean = V.T @ state.half_targets
     var = prior - np.einsum("ij,ij->j", V, V)
     return mean, np.maximum(var, 0.0)
-
-
-def posterior(state: GpState, x) -> PosteriorStats:
-    """Posterior mean and variance of f at a single point."""
-    mean, var = posterior_batch(state, np.atleast_1d(x)[None, :])
-    return PosteriorStats(float(mean[0]), float(var[0]))
 
 
 def _jittered_cholesky(K: np.ndarray, scale: float, label: str = "prior Gram") -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Tests for UCB/EI selection and the decoupled posterior path sampler."""
+"""Tests for acquisition scores and selectors and the decoupled posterior path sampler."""
 
 import math
 
@@ -31,18 +31,19 @@ class TestUcbSelect:
     def test_zero_confidence_is_greedy(self):
         kernel = SE(1, ell=0.5)
         state = state_with(kernel, [[0.0], [1.0]], [2.0, -1.0], 1e-6)
-        cands = acq.CandidateSet([[0.0], [0.5], [1.0]])
-        idx, _ = acq.ucb_select(state, cands, 0.0)
-        mean, _ = gp.posterior_batch(state, cands.points)
+        pts = np.array([[0.0], [0.5], [1.0]])
+        mean, var = gp.posterior_batch(state, pts)
+        idx = int(np.argmax(acq.ucb_scores(mean, var, 0.0)))
         assert idx == int(np.argmax(mean)) == 0
 
     def test_empty_state_picks_highest_prior_sd(self):
         cov = np.diag([0.25, 1.0, 0.49])
         kernel = gp.ExplicitKernel(cov)
         state = gp.empty_state(kernel, 1e-4)
-        idx, score = acq.ucb_select(state, acq.CandidateSet([[0.0], [1.0], [2.0]]), 4.0)
+        scores = acq.ucb_scores(*gp.posterior_batch(state, [[0.0], [1.0], [2.0]]), 4.0)
+        idx = int(np.argmax(scores))
         assert idx == 1
-        assert score == pytest.approx(2.0 * 1.0)
+        assert scores[idx] == pytest.approx(2.0 * 1.0)
 
     def test_two_point_lock_in_under_event(self):
         # Explicit prior [[1, 0], [0, 0.99]]; large first value, bounded noise
@@ -50,23 +51,23 @@ class TestUcbSelect:
         c = 1.0
         f = np.array([3.0, 4.1])
         kernel = gp.ExplicitKernel(np.array([[1.0, 0.0], [0.0, 0.99]]))
-        cands = acq.CandidateSet([[0.0], [1.0]])
+        pts = np.array([[0.0], [1.0]])
         state = gp.empty_state(kernel, 1.0)
         for t in range(60):
-            idx, _ = acq.ucb_select(state, cands, c)
+            idx = int(np.argmax(acq.ucb_scores(*gp.posterior_batch(state, pts), c)))
             assert idx == 0, f"switched away at t={t}"
             state = gp.incremental_update(state, [0.0], f[0])  # zero-noise draws
 
     def test_tie_breaks_to_lowest_index(self):
         kernel = gp.ExplicitKernel(np.eye(3))
         state = gp.empty_state(kernel, 1.0)
-        idx, _ = acq.ucb_select(state, acq.CandidateSet([[0.0], [1.0], [2.0]]), 1.0)
-        assert idx == 0
+        scores = acq.ucb_scores(*gp.posterior_batch(state, [[0.0], [1.0], [2.0]]), 1.0)
+        assert int(np.argmax(scores)) == 0
 
     def test_negative_confidence_rejected(self):
         state = gp.empty_state(SE(1), 1.0)
         with pytest.raises(ConfigurationError):
-            acq.ucb_select(state, acq.CandidateSet([[0.0]]), -0.1)
+            acq.ucb_scores(*gp.posterior_batch(state, [[0.0]]), -0.1)
 
     def test_mean_shift_leaves_argmax(self):
         rng = np.random.default_rng(42)
@@ -107,8 +108,10 @@ class TestEiSelect:
         scores = acq.expected_improvement(mean, np.zeros(3), 0.0)
         np.testing.assert_array_equal(scores, np.zeros(3))
         state = gp.empty_state(gp.ExplicitKernel(np.eye(3) * 1e-30), 1e-9)
-        idx, score = acq.ei_select(state, acq.CandidateSet([[0.0], [1.0], [2.0]]), 5.0)
-        assert idx == 0 and score == pytest.approx(0.0, abs=1e-12)
+        scores = acq.expected_improvement(*gp.posterior_batch(state, [[0.0], [1.0], [2.0]]),
+                                          5.0)
+        idx = int(np.argmax(scores))
+        assert idx == 0 and scores[idx] == pytest.approx(0.0, abs=1e-12)
 
     def test_prefers_higher_sd_below_incumbent(self):
         mean = np.array([0.0, 0.0])
@@ -265,13 +268,13 @@ class TestTsSelect:
     def test_singleton(self):
         rff = acq.build_rff(SE(1), 32, seed=0)
         state = gp.empty_state(SE(1), 1e-4)
-        assert acq.ts_select(state, rff, acq.CandidateSet([[0.5]]), 3) == 0
+        assert acq.ts_select(state, rff, np.array([[0.5]]), 3) == 0
 
     def test_symmetric_prior_balanced(self):
         kernel = SE(1, ell=0.5)
         rff = acq.build_rff(kernel, 256, seed=0)
         state = gp.empty_state(kernel, 1e-4)
-        cands = acq.CandidateSet([[0.0], [10.0]])  # effectively independent
+        cands = np.array([[0.0], [10.0]])  # effectively independent
         picks = np.array([acq.ts_select(state, rff, cands, s) for s in range(10000)])
         assert picks.mean() == pytest.approx(0.5, abs=0.02)
 
@@ -279,7 +282,7 @@ class TestTsSelect:
         kernel = SE(1, ell=0.5)
         rff = acq.build_rff(kernel, 512, seed=1)
         state = gp.batch_state(kernel, [[0.0]], [5.0], 1e-4)
-        cands = acq.CandidateSet([[0.0], [10.0]])
+        cands = np.array([[0.0], [10.0]])
         picks = np.array([acq.ts_select(state, rff, cands, s) for s in range(1000)])
         assert np.mean(picks == 0) > 0.95
 
@@ -288,7 +291,7 @@ class TestPimsSelect:
     def test_singleton(self):
         rff = acq.build_rff(SE(1), 32, seed=0)
         state = gp.empty_state(SE(1), 1e-4)
-        assert acq.pims_select(state, rff, acq.CandidateSet([[0.5]]), 3) == 0
+        assert acq.pims_select(state, rff, np.array([[0.5]]), 3) == 0
 
     def test_exchangeable_candidates_tie_to_lowest_index(self):
         # With no data the posterior moments are identical across candidates,
@@ -297,7 +300,7 @@ class TestPimsSelect:
         kernel = SE(1, ell=0.5)
         rff = acq.build_rff(kernel, 256, seed=0)
         state = gp.empty_state(kernel, 1e-4)
-        cands = acq.CandidateSet([[0.0], [10.0]])
+        cands = np.array([[0.0], [10.0]])
         picks = {acq.pims_select(state, rff, cands, s) for s in range(50)}
         assert picks == {0}
 
@@ -308,7 +311,7 @@ class TestPimsSelect:
         kernel = SE(1, ell=0.5)
         rff = acq.build_rff(kernel, 512, seed=0)
         state = gp.batch_state(kernel, [[0.0]], [0.5], 1e-2)
-        cands = acq.CandidateSet([[0.0], [10.0]])
+        cands = np.array([[0.0], [10.0]])
         picks = np.array([acq.pims_select(state, rff, cands, s) for s in range(400)])
         assert {0, 1} == set(picks.tolist())
 

@@ -39,19 +39,20 @@ def synthetic_trace(regrets):
 
 class TestRegretMetrics:
     def test_zero_regret_everywhere(self):
-        inst, cum, simple = an.regret_metrics(synthetic_trace([0.0, 0.0, 0.0]))
-        assert not inst.any() and not cum.any() and not simple.any()
+        s = an.summarize_traces([synthetic_trace([0.0, 0.0, 0.0])])
+        assert not s.mean_instantaneous_curve.any()
+        assert not s.mean_cumulative_curve.any() and not s.mean_simple_curve.any()
 
     def test_hand_prefix_sums(self):
-        inst, cum, simple = an.regret_metrics(synthetic_trace([3.0, 1.0, 2.0]))
-        assert cum.tolist() == [3.0, 4.0, 6.0]
-        assert simple.tolist() == [3.0, 1.0, 1.0]
+        s = an.summarize_traces([synthetic_trace([3.0, 1.0, 2.0])])
+        assert s.mean_cumulative_curve.tolist() == [3.0, 4.0, 6.0]
+        assert s.mean_simple_curve.tolist() == [3.0, 1.0, 1.0]
 
     def test_resummation_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             r = rng.uniform(0, 2, size=int(rng.integers(1, 50)))
-            _, cum, _ = an.regret_metrics(synthetic_trace(r))
+            cum = an.summarize_traces([synthetic_trace(r)]).mean_cumulative_curve
             brute = np.array([r[: i + 1].sum() for i in range(len(r))])
             np.testing.assert_allclose(cum, brute, atol=1e-12)
 
@@ -176,8 +177,8 @@ class TestInformationGain:
             state = gp.empty_state(kernel, s2)
             seq = 0.0
             for x in pts:
-                stats = gp.posterior(state, x)
-                seq += 0.5 * math.log(1.0 + stats.variance / s2)
+                _, var = gp.posterior_batch(state, x)
+                seq += 0.5 * math.log(1.0 + var[0] / s2)
                 state = gp.incremental_update(state, x, 0.0)
             assert abs(batch - seq) < 1e-8
 

@@ -222,18 +222,6 @@ class TestTabular:
         assert np.all(np.abs(feats.mean(axis=0)) < 1e-10)
         np.testing.assert_allclose(feats.var(axis=0), 1.0, atol=1e-10)
 
-    def test_round_trip(self, tmp_path):
-        p = self.write_csv(tmp_path / "d.csv",
-                           "a,b,score\n0.25,1.5,1.0\n2.125,3.0,5.0\n4.0,5.5,2.0\n")
-        dataset, inst = bench.ingest_tabular(p, "score")
-        q = tmp_path / "out.csv"
-        bench.write_tabular(dataset, q)
-        dataset2, inst2 = bench.ingest_tabular(q, "score")
-        np.testing.assert_array_equal(dataset.features, dataset2.features)
-        np.testing.assert_array_equal(dataset.objective, dataset2.objective)
-        np.testing.assert_array_equal(inst.candidates.points, inst2.candidates.points)
-        assert inst.optimum_index == inst2.optimum_index
-
     def test_missing_values_listed(self, tmp_path):
         p = self.write_csv(tmp_path / "d.csv",
                            "a,score\n1.0,2.0\n,3.0\n4.0,\n5.0,6.0\n")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ n_reps = 3
 algorithms = irgp_ucb
 initial.count = 2
 """
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 COUNTEREXAMPLE_SMALL = """
 kind = counterexample
@@ -87,6 +90,18 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError) as err:
             parse_text("kind = synthetic_bcr\nhorizon = 5\nhorizon = 6\n")
         assert "duplicate" in str(err.value)
+
+
+class TestBuiltinCheckConfigs:
+    """The ``check`` suites embed their configs, since the installed package
+    ships no ``configs/``; the embedded copies must match the files."""
+
+    @pytest.mark.parametrize("text, name", [
+        (cli.LEMMA_CHECK_CONFIG, "lemma_check.txt"),
+        (cli.COUNTEREXAMPLE_CONFIG, "counterexample.txt"),
+    ])
+    def test_matches_shipped_file(self, text, name):
+        assert parse_text(text).values == parse_config(CONFIGS / name).values
 
 
 class TestBuildAlgorithm:

@@ -123,23 +123,6 @@ class TestHeuristics:
         assert sched.mean(17) == pytest.approx(3 / 2 + 2)
 
 
-class TestDiscretizationGrid:
-    def test_reference_count(self):
-        assert cf.discretization_grid_size(math.e**2, 1, 1, 1, 1) == 3
-
-    def test_coordinates_strictly_interior(self):
-        for r in (1.0, 2.5):
-            coords = cf.discretization_coordinates(math.e**2, 1.0, r, 2, 3.0)
-            assert np.all(coords > 0) and np.all(coords < r)
-            # uniform spacing r/(tau+1)
-            assert np.allclose(np.diff(coords), coords[0])
-
-    def test_linear_in_u(self):
-        tau = lambda u: 1 * 2 * 1.5 * u * (math.sqrt(math.log(2 * 2)) + math.sqrt(math.pi) / 2)
-        assert cf.discretization_grid_size(2, 1, 1.5, 2, 6.0) == math.ceil(tau(6.0))
-        assert math.ceil(tau(6.0)) == math.ceil(2 * tau(3.0))
-
-
 class TestNextConfidence:
     def test_constant(self):
         sched = cf.Constant(4.0)

@@ -16,29 +16,30 @@ def se_kernel(dim=1, ell=1.0, sv=1.0):
 
 class TestKernelEval:
     def test_se_identity(self):
-        assert gp.kernel_eval(se_kernel(), [0.0], [0.0]) == pytest.approx(1.0)
+        assert gp.kernel_matrix(se_kernel(), [0.0], [0.0])[0, 0] == pytest.approx(1.0)
 
     def test_se_unit_distance(self):
-        val = gp.kernel_eval(se_kernel(), [0.0], [1.0])
+        val = gp.kernel_matrix(se_kernel(), [0.0], [1.0])[0, 0]
         assert val == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_matern52_zero_distance(self):
         k = gp.KernelSpec.isotropic("matern52", 1.0, 1)
-        assert gp.kernel_eval(k, [0.3], [0.3]) == pytest.approx(1.0)
+        assert gp.kernel_matrix(k, [0.3], [0.3])[0, 0] == pytest.approx(1.0)
 
     def test_symmetry_and_amplitude(self):
         rng = np.random.default_rng(42)
         for family in gp.KERNEL_FAMILIES:
             k = gp.KernelSpec.isotropic(family, 0.7, 3, signal_variance=2.5)
             x, x2 = rng.normal(size=3), rng.normal(size=3)
-            assert gp.kernel_eval(k, x, x2) == pytest.approx(gp.kernel_eval(k, x2, x))
-            assert gp.kernel_eval(k, x, x) == pytest.approx(2.5)
+            assert gp.kernel_matrix(k, x, x2)[0, 0] == pytest.approx(
+                gp.kernel_matrix(k, x2, x)[0, 0])
+            assert gp.kernel_matrix(k, x, x)[0, 0] == pytest.approx(2.5)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            gp.kernel_eval(se_kernel(dim=2), [0.0], [0.0, 1.0])
+            gp.kernel_matrix(se_kernel(dim=2), [0.0], [0.0, 1.0])
         with pytest.raises(ConfigurationError):
-            gp.kernel_eval(se_kernel(dim=2), [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+            gp.kernel_matrix(se_kernel(dim=2), [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -53,7 +54,7 @@ class TestExplicitKernel:
     def test_matrix_lookup(self):
         cov = np.array([[1.0, 0.3], [0.3, 0.5]])
         k = gp.ExplicitKernel(cov)
-        assert gp.kernel_eval(k, [0.0], [1.0]) == pytest.approx(0.3)
+        assert gp.kernel_matrix(k, [0.0], [1.0])[0, 0] == pytest.approx(0.3)
         np.testing.assert_allclose(gp.kernel_diag(k, [[0.0], [1.0]]), [1.0, 0.5])
 
     def test_non_psd_rejected(self):
@@ -64,16 +65,16 @@ class TestExplicitKernel:
 class TestPosterior:
     def test_prior_case(self):
         state = gp.empty_state(se_kernel(dim=2), 0.1)
-        stats = gp.posterior(state, [0.4, -1.0])
-        assert stats.mean == 0.0
-        assert stats.variance == pytest.approx(1.0)
+        mean, var = gp.posterior_batch(state, [0.4, -1.0])
+        assert mean[0] == 0.0
+        assert var[0] == pytest.approx(1.0)
 
     def test_single_observation_scalar_formula(self):
         # k(x,x)=1, noise 1, y=1: mean 1/(1+1), variance 1 - 1/(1+1)
         state = gp.incremental_update(gp.empty_state(se_kernel(), 1.0), [0.0], 1.0)
-        stats = gp.posterior(state, [0.0])
-        assert stats.mean == pytest.approx(0.5, abs=1e-12)
-        assert stats.variance == pytest.approx(0.5, abs=1e-12)
+        mean, var = gp.posterior_batch(state, [0.0])
+        assert mean[0] == pytest.approx(0.5, abs=1e-12)
+        assert var[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_two_point_closed_form(self):
         # Explicit prior [[1, rho], [rho, 0.99]], repeated observation of the
@@ -86,12 +87,11 @@ class TestPosterior:
                 state = gp.incremental_update(state, [0.0], y)
                 ybar = float(np.mean(ys[:t]))
                 shrink = t / (t + 1)
-                p1 = gp.posterior(state, [0.0])
-                p2 = gp.posterior(state, [1.0])
-                assert p1.mean == pytest.approx(shrink * ybar, abs=1e-8)
-                assert p2.mean == pytest.approx(rho * shrink * ybar, abs=1e-8)
-                assert p1.variance == pytest.approx(1.0 / (t + 1), abs=1e-8)
-                assert p2.variance == pytest.approx(0.99 - rho**2 * shrink, abs=1e-8)
+                mean, var = gp.posterior_batch(state, [[0.0], [1.0]])
+                assert mean[0] == pytest.approx(shrink * ybar, abs=1e-8)
+                assert mean[1] == pytest.approx(rho * shrink * ybar, abs=1e-8)
+                assert var[0] == pytest.approx(1.0 / (t + 1), abs=1e-8)
+                assert var[1] == pytest.approx(0.99 - rho**2 * shrink, abs=1e-8)
 
 
 class TestIncrementalUpdate:
@@ -127,6 +127,16 @@ class TestIncrementalUpdate:
             state = gp.incremental_update(state, [0.1, 0.2], y)
         assert np.all(np.diag(state.chol) > 0)
 
+    def test_pivot_jitter_warns(self):
+        # Noise far below roundoff: re-observing x = 0 leaves a zero pivot,
+        # which the jitter keeps positive, and that must not pass silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = gp.incremental_update(gp.empty_state(se_kernel(), 1e-300), [0.0], 0.0)
+        with pytest.warns(RuntimeWarning, match=r"n=2 needed diagonal jitter 1\.0e-10"):
+            state = gp.incremental_update(state, [0.0], 0.0)
+        assert state.chol[1, 1] == pytest.approx(1e-5)
+
     def test_non_finite_observation_rejected(self):
         state = gp.empty_state(se_kernel(), 1.0)
         with pytest.raises(ObservationError):
@@ -144,10 +154,10 @@ class TestIncrementalUpdate:
         oracle_a = gp.batch_state(kernel, [[0.0], [0.5]], [1.0, 2.0], 0.1)
         oracle_b = gp.batch_state(kernel, [[0.0], [-0.5]], [1.0, -2.0], 0.1)
         for child, oracle in ((child_a, oracle_a), (child_b, oracle_b)):
-            got = gp.posterior(child, [0.25])
-            want = gp.posterior(oracle, [0.25])
-            assert got.mean == pytest.approx(want.mean, abs=1e-12)
-            assert got.variance == pytest.approx(want.variance, abs=1e-12)
+            got_mean, got_var = gp.posterior_batch(child, [0.25])
+            want_mean, want_var = gp.posterior_batch(oracle, [0.25])
+            assert got_mean[0] == pytest.approx(want_mean[0], abs=1e-12)
+            assert got_var[0] == pytest.approx(want_var[0], abs=1e-12)
 
 
 class TestPosteriorInvariants:
@@ -170,9 +180,9 @@ class TestPosteriorInvariants:
         for _ in range(5):
             x = rng.random(2)
             state = gp.batch_state(kernel, rng.random((8, 2)), rng.normal(size=8), 0.05)
-            before = gp.posterior(state, x).variance
+            before = gp.posterior_batch(state, x)[1][0]
             state = gp.incremental_update(state, x, 0.0)
-            after = gp.posterior(state, x).variance
+            after = gp.posterior_batch(state, x)[1][0]
             assert after < before
 
 
