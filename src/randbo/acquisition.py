@@ -1,4 +1,4 @@
-"""Acquisition rules over a finite candidate set.
+"""Acquisition rules over a set of candidate points.
 
 UCB, expected-improvement and improvement-probability scores of posterior
 moments, and the posterior sample paths of Thompson sampling and PIMS,
@@ -19,48 +19,6 @@ from scipy.special import ndtr
 from . import gp
 from .errors import ConfigurationError
 from .rng import as_generator
-
-FIXED_GRID = "fixed_grid"
-PER_ITERATION_RANDOM = "per_iteration_random"
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Finite set of selectable points.
-
-    ``provenance`` records whether the set is a fixed grid or gets redrawn
-    uniformly each iteration (continuous domains); ``resample_count`` is the
-    per-iteration draw size in the latter case.
-    """
-
-    points: np.ndarray
-    provenance: str = FIXED_GRID
-    resample_count: int | None = None
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ConfigurationError("candidate set must be a non-empty (n, d) array")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        if self.provenance not in (FIXED_GRID, PER_ITERATION_RANDOM):
-            raise ConfigurationError(f"unknown candidate provenance {self.provenance!r}")
-        if self.provenance == PER_ITERATION_RANDOM:
-            count = self.resample_count or pts.shape[0]
-            if count < 1:
-                raise ConfigurationError("resample_count must be >= 1")
-            object.__setattr__(self, "resample_count", int(count))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
 
 def ucb_scores(mean: np.ndarray, var: np.ndarray, confidence: float) -> np.ndarray:
     """UCB scores mu + sqrt(confidence) * sd for posterior moments."""

@@ -1,14 +1,15 @@
 """Regret metrics, closed-form regret-bound calculators, and Monte-Carlo
 verification harnesses.
 
-Covers: summary statistics over replicated traces, expected and conditional
-expected regret estimators, realized information gain of a selected point
-set, the family of closed-form cumulative-regret bounds for randomized and
-deterministic confidence schedules, tail-bound helpers (Gaussian survival,
-chi-square upper quantile), a Monte-Carlo check of the optimum-value
-inequality that drives the randomized-UCB analysis, the two-point problem
-instance on which constant-confidence UCB earns linear regret, and an
-empirical slope test separating linear from sublinear regret growth.
+Covers: summary statistics over replicated traces (the expected-regret
+estimate), the conditional expected regret estimator, realized information
+gain of a selected point set, the family of closed-form cumulative-regret
+bounds for randomized and deterministic confidence schedules, tail-bound
+helpers (Gaussian survival, chi-square upper quantile), a Monte-Carlo check
+of the optimum-value inequality that drives the randomized-UCB analysis,
+the two-point problem instance on which constant-confidence UCB earns
+linear regret, and an empirical slope test separating linear from
+sublinear regret growth.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gp
-from .acquisition import CandidateSet
 from .confidence import RATE, Replay, beta_deterministic, shift_finite
-from .engine import BoTrace, ProblemInstance, RunConfig, run_replications
+from .engine import BoTrace, FiniteInstance, RunConfig, run_replications
 from .errors import ConfigurationError, NumericalError
 from .rng import as_generator
 
@@ -46,18 +46,6 @@ class RegretSummary:
     @property
     def mean_cumulative_regret(self) -> float:
         return float(self.mean_cumulative_curve[-1])
-
-    @property
-    def stderr_cumulative_regret(self) -> float:
-        return float(self.stderr_cumulative_curve[-1])
-
-    @property
-    def mean_simple_regret(self) -> float:
-        return float(self.mean_simple_curve[-1])
-
-    @property
-    def stderr_simple_regret(self) -> float:
-        return float(self.stderr_simple_curve[-1])
 
     def at_horizon(self, horizon: int) -> "RegretSummary":
         """Restriction of the summary to a shorter horizon prefix."""
@@ -98,18 +86,6 @@ def summarize_traces(traces: list[BoTrace]) -> RegretSummary:
         stderr_simple_curve=_stderr(simple),
         mean_instantaneous_curve=inst.mean(axis=0),
     )
-
-
-def estimate_bcr(instance_sampler, config: RunConfig, n_reps: int, base_seed: int,
-                 n_jobs: int = 1) -> RegretSummary:
-    """Monte-Carlo estimate of expected cumulative regret.
-
-    The sampler should redraw the objective each replication so the
-    expectation runs over the prior, the noise, and the algorithm's own
-    randomness.
-    """
-    traces = run_replications(instance_sampler, config, n_reps, base_seed, n_jobs)
-    return summarize_traces(traces)
 
 
 def estimate_conditional_regret(instance_sampler, config: RunConfig, sequence,
@@ -160,7 +136,7 @@ def realized_information_gain(kernel: gp.Kernel, points, noise_variance: float) 
 GREEDY_GAIN_FRACTION = 1.0 - 1.0 / math.e
 
 
-def greedy_information_gain(kernel: gp.Kernel, candidates, T: int,
+def greedy_information_gain(kernel: gp.Kernel, points, T: int,
                             noise_variance: float) -> float:
     """Greedy maximization of information gain over a candidate grid.
 
@@ -169,7 +145,7 @@ def greedy_information_gain(kernel: gp.Kernel, candidates, T: int,
     whose exact maximization is intractable; a bound that needs gamma_T
     takes ``greedy / GREEDY_GAIN_FRACTION``.
     """
-    pts = candidates.points if isinstance(candidates, CandidateSet) else np.asarray(candidates, dtype=float)
+    pts = np.asarray(points, dtype=float)
     state = gp.empty_state(kernel, noise_variance, capacity=T + 1)
     total = 0.0
     for _ in range(T):
@@ -323,7 +299,7 @@ class InequalityCheck:
         return self.lhs <= self.rhs + 3.0 * self.combined_stderr
 
 
-def validate_optimum_bound(kernel: gp.Kernel, candidates, dataset,
+def validate_optimum_bound(kernel: gp.Kernel, points, dataset,
                            noise_variance: float, n_mc: int,
                            seed) -> InequalityCheck:
     """Check E[max f] <= E[max mu + sqrt(zeta) sd] on a finite candidate set.
@@ -334,7 +310,7 @@ def validate_optimum_bound(kernel: gp.Kernel, candidates, dataset,
     and rate 1/2 (negative draws, possible only for a one-point set, clamp
     the multiplier at zero). Both sides are reported with standard errors.
     """
-    pts = candidates.points if isinstance(candidates, CandidateSet) else np.asarray(candidates, dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     m = pts.shape[0]
@@ -405,18 +381,11 @@ class CounterexampleSampler:
     def kernel(self) -> gp.ExplicitKernel:
         return gp.ExplicitKernel(self.covariance)
 
-    @property
-    def candidates(self) -> CandidateSet:
-        return CandidateSet(np.array([[0.0], [1.0]]))
-
-    def instance_for(self, f_values) -> ProblemInstance:
+    def instance_for(self, f_values) -> FiniteInstance:
         """Instance conditioned on explicit objective values (for event studies)."""
-        f = np.asarray(f_values, dtype=float)
-        if f.shape != (2,):
-            raise ConfigurationError("counterexample objective needs two values")
-        return ProblemInstance.finite(self.candidates, f, self.noise_stddev)
+        return FiniteInstance(np.array([[0.0], [1.0]]), f_values, self.noise_stddev)
 
-    def __call__(self, rep: int, rng: np.random.Generator) -> ProblemInstance:
+    def __call__(self, rep: int, rng: np.random.Generator) -> FiniteInstance:
         f = np.linalg.cholesky(self.covariance) @ rng.standard_normal(2)
         return self.instance_for(f)
 

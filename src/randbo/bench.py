@@ -1,9 +1,9 @@
 """Problem generators.
 
-Synthetic instances drawn from the surrogate prior on a finite grid,
+Synthetic instances drawn from the surrogate prior on a finite grid and
+CSV ingestion of tabular measurement data, both ``FiniteInstance``s, and
 analytic benchmark functions on continuous domains (negated so every
-problem is a maximization), and CSV ingestion for finite-domain problems
-built from tabular measurement data.
+problem is a maximization) as ``ContinuousInstance``s on the unit cube.
 
 A synthetic study redraws the objective on one grid per replication. The
 grid's prior Gram is factored once per process (``gp.prior_data``), so
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gp
-from .acquisition import PER_ITERATION_RANDOM, CandidateSet
-from .engine import ProblemInstance
+from .engine import ContinuousInstance, FiniteInstance
 from .errors import ConfigurationError, DomainError, IngestionError
 from .rng import as_generator
 
@@ -68,7 +67,7 @@ class GridSpec:
 
 
 def make_synthetic_instance(kernel: gp.Kernel, grid: GridSpec, noise_stddev: float,
-                            seed) -> ProblemInstance:
+                            seed) -> FiniteInstance:
     """Finite instance whose objective is one prior draw over the grid.
 
     The draw uses the grid's cached prior factor when the cache can hold
@@ -80,10 +79,7 @@ def make_synthetic_instance(kernel: gp.Kernel, grid: GridSpec, noise_stddev: flo
         values = gp.sample_prior(kernel, pts, seed)
     else:
         values = prior.factor @ as_generator(seed).standard_normal(pts.shape[0])
-    return ProblemInstance.finite(
-        CandidateSet(pts), values, noise_stddev,
-        metadata={"generator": "gp_prior", "grid_size": grid.size},
-    )
+    return FiniteInstance(pts, values, noise_stddev)
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class SyntheticInstanceSampler:
     grid: GridSpec
     noise_stddev: float
 
-    def __call__(self, rep: int, rng: np.random.Generator) -> ProblemInstance:
+    def __call__(self, rep: int, rng: np.random.Generator) -> FiniteInstance:
         return make_synthetic_instance(self.kernel, self.grid, self.noise_stddev, rng)
 
 
@@ -181,12 +177,12 @@ class _UnitCubeObjective:
 
 def make_benchmark_instance(name: str, dim: int | None = None,
                             noise_stddev: float = 0.01,
-                            candidate_count: int = 2000) -> ProblemInstance:
-    """Continuous benchmark wrapped as an objective-mode instance.
+                            candidate_count: int = 2000) -> ContinuousInstance:
+    """Continuous benchmark on the unit cube.
 
     The domain is rescaled to the unit cube so kernel lengthscales are
-    comparable across benchmarks; candidates are redrawn uniformly each
-    iteration. The rescaling map is recorded in the instance metadata.
+    comparable across benchmarks; ``candidate_count`` candidates are
+    redrawn uniformly each iteration.
     """
     if name not in BENCHMARKS:
         raise ConfigurationError(f"unknown benchmark {name!r}; expected one of {sorted(BENCHMARKS)}")
@@ -194,24 +190,9 @@ def make_benchmark_instance(name: str, dim: int | None = None,
     d = info.default_dim if dim is None else int(dim)
     if info.fixed_dim and d != info.default_dim:
         raise ConfigurationError(f"{name} is only defined for d={info.default_dim}")
-    if d < 1:
-        raise ConfigurationError("dimension must be >= 1")
-    candidates = CandidateSet(
-        np.full((1, d), 0.5), provenance=PER_ITERATION_RANDOM,
-        resample_count=candidate_count,
-    )
-    return ProblemInstance(
-        candidates=candidates,
-        noise_stddev=float(noise_stddev),
-        objective=_UnitCubeObjective(name, info.domain_low, info.domain_high),
-        optimum_value=info.optimum_value,
-        metadata={
-            "benchmark": name,
-            "domain_low": info.domain_low,
-            "domain_high": info.domain_high,
-            "dim": d,
-        },
-    )
+    return ContinuousInstance(
+        _UnitCubeObjective(name, info.domain_low, info.domain_high), d,
+        candidate_count, info.optimum_value, float(noise_stddev))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +216,8 @@ class TabularDataset:
             raise IngestionError("tabular dataset needs at least 2 rows")
 
 
-def standardize_columns(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-mean unit-variance columns; returns (standardized, means, stds).
+def standardize_columns(features: np.ndarray) -> np.ndarray:
+    """Zero-mean unit-variance columns.
 
     Constant columns get std 1 so they map to zeros instead of dividing by
     zero; they carry no distance information either way.
@@ -244,16 +225,15 @@ def standardize_columns(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     means = features.mean(axis=0)
     stds = features.std(axis=0)
     stds = np.where(stds > 0.0, stds, 1.0)
-    return (features - means) / stds, means, stds
+    return (features - means) / stds
 
 
-def ingest_tabular(path, objective_column: str) -> tuple[TabularDataset, ProblemInstance]:
+def ingest_tabular(path, objective_column: str) -> tuple[TabularDataset, FiniteInstance]:
     """Parse a CSV file into a finite-domain problem instance.
 
     Contract: comma-separated, UTF-8, first row holds column names, decimal
-    point '.'. Every non-objective column is a feature. Features are
-    standardized for kernel distances; the standardization parameters land
-    in the instance metadata.
+    point '.'. Every non-objective column is a feature. The instance's
+    points are the features standardized for kernel distances.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -294,16 +274,4 @@ def ingest_tabular(path, objective_column: str) -> tuple[TabularDataset, Problem
         raise IngestionError(f"{path}: objective column contains non-finite values")
     dataset = TabularDataset(features, objective, names, objective_column)
 
-    standardized, means, stds = standardize_columns(features)
-    instance = ProblemInstance.finite(
-        CandidateSet(standardized), objective, noise_stddev=0.0,
-        metadata={
-            "source": str(path),
-            "feature_names": list(names),
-            "objective_name": objective_column,
-            "standardize_means": means.tolist(),
-            "standardize_stds": stds.tolist(),
-        },
-    )
-    return dataset, instance
-
+    return dataset, FiniteInstance(standardize_columns(features), objective, 0.0)

@@ -33,6 +33,7 @@ from . import __version__, analysis, bench, confidence, gp
 from .config import ExperimentConfig, parse_config, parse_text, serialize_config
 from .engine import (
     AcquisitionSpec,
+    ContinuousInstance,
     FixedInstanceSampler,
     RunConfig,
     run_replications,
@@ -201,19 +202,19 @@ def _mean_realized_gain(traces, kernel, noise_variance: float) -> float:
 def _domain(config: ExperimentConfig):
     """(candidate source, domain size, dimension) of a config's problem.
 
-    The source is the fixed instance of the benchmark and tabular kinds,
-    the two-point sampler of the counterexample kind, and the grid of every
-    other kind. Runners and confidence profiles take the domain size and
+    The source is the ``ContinuousInstance`` of the benchmark kind, the
+    ``FiniteInstance`` of the tabular kind, the two-point sampler of the
+    counterexample kind, and the grid of every other kind. Runners and confidence profiles take the domain size and
     dimension from here, so a schedule sees the same domain in both.
     """
     if config.kind == "benchmark":
         instance = bench.make_benchmark_instance(
             config["benchmark.name"], config.values.get("benchmark.dim"),
             config.noise_stddev, config["candidates.count"])
-        return instance, config["candidates.count"], instance.metadata["dim"]
+        return instance, instance.candidate_count, instance.dim
     if config.kind == "tabular":
         _, instance = bench.ingest_tabular(config["tabular.path"], config["tabular.objective"])
-        return instance, len(instance.candidates), instance.candidates.dim
+        return instance, len(instance.points), instance.dim
     if config.kind == "counterexample":
         return analysis.counterexample_instance(config["counterexample.rho"]), 2, 1
     grid = bench.GridSpec.uniform(config["grid.low"], config["grid.high"],
@@ -225,9 +226,12 @@ def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     """Every configured algorithm on one instance family.
 
     The synthetic kind redraws its objective on the grid per replication;
-    the benchmark and tabular kinds rerun one fixed instance.
+    the benchmark and tabular kinds rerun one fixed instance. The
+    finite-domain bound reports need |X| fixed candidates, so a continuous
+    instance, whose candidates are redrawn each iteration, gets none.
     """
     source, domain_size, dim = _domain(config)
+    finite = not isinstance(source, ContinuousInstance)
     kernel = build_kernel(config, dim)
     if config.kind == "synthetic_bcr":
         sampler = bench.SyntheticInstanceSampler(kernel, source, config.noise_stddev)
@@ -245,7 +249,7 @@ def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
         write_summary_csv(out / summary_file, summary)
         outputs += [trace_file, summary_file]
 
-        if name == "irgp_ucb":
+        if finite and name == "irgp_ucb":
             gain = _mean_realized_gain(traces, kernel, config.noise_variance)
             value = analysis.bcr_bound_finite(summary.horizon, domain_size,
                                               config.noise_variance, gain)
@@ -255,7 +259,7 @@ def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
                  "noise_variance": config.noise_variance,
                  "gamma_realized_mean": gain},
                 value, summary.mean_cumulative_regret))
-        if name == "irgp_ucb_high_prob":
+        if finite and name == "irgp_ucb_high_prob":
             delta = config["irgp_ucb_high_prob.delta"]
             exceed = 0
             for tr in traces:
@@ -373,8 +377,6 @@ def _run_counterexample(config: ExperimentConfig, out: Path) -> tuple[list[str],
 
 
 def _run_lemma_check(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    from .acquisition import CandidateSet
-
     rows = []
     all_hold = True
     families = ("squared_exponential", "matern52")
@@ -385,7 +387,7 @@ def _run_lemma_check(config: ExperimentConfig, out: Path) -> tuple[list[str], in
         dim = int(rng.integers(1, 4))
         family = families[i % 2]
         kernel = gp.KernelSpec.isotropic(family, float(rng.uniform(0.1, 1.0)), dim)
-        cands = CandidateSet(rng.random((m, dim)))
+        points = rng.random((m, dim))
         if n_data:
             X = rng.random((n_data, dim))
             y = gp.sample_prior(kernel, X, rng) + rng.normal(
@@ -394,7 +396,7 @@ def _run_lemma_check(config: ExperimentConfig, out: Path) -> tuple[list[str], in
         else:
             dataset = None
         check = analysis.validate_optimum_bound(
-            kernel, cands, dataset, config.noise_variance,
+            kernel, points, dataset, config.noise_variance,
             config["lemma.n_mc"], rng)
         holds = check.holds()
         all_hold &= holds

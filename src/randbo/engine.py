@@ -1,11 +1,16 @@
 """Sequential optimization driver.
 
+A problem is one of two kinds. A ``FiniteInstance`` is a finite domain: fixed
+candidate points with the true value at each (the synthetic grids and the
+tabular emulators). A ``ContinuousInstance`` is an objective on the unit
+cube, with fresh uniform candidates drawn each iteration (the benchmarks).
+
 One replication iterates: (re)fit hyperparameters, produce the iteration's
 confidence parameter, select a candidate by the configured acquisition
 rule, observe a noisy value, update the posterior, and record regret. A
 complete per-iteration trace comes back for analysis.
 
-For a fixed candidate set the posterior moments over all candidates are
+On a finite instance the posterior moments over all candidates are
 maintained incrementally alongside the state's Cholesky factor, which
 turns the per-iteration cost from O(n^2 m) into O(n m); a test replays
 traces through the batch posterior to confirm the two paths agree. The
@@ -25,18 +30,16 @@ factor (see ``bench.SyntheticInstanceSampler``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import gp
 from .acquisition import (
-    FIXED_GRID,
-    PER_ITERATION_RANDOM,
-    CandidateSet,
     RffModel,
     build_rff,
     expected_improvement,
@@ -79,58 +82,69 @@ class AcquisitionSpec:
 
 
 @dataclass(frozen=True)
-class ProblemInstance:
-    """Optimization target: candidates plus ground truth.
+class FiniteInstance:
+    """A finite domain: fixed candidate points and the true value at each.
 
-    Finite mode carries the true objective values aligned with the fixed
-    candidate set. Objective mode carries a callable evaluated at selected
-    points (used for continuous benchmarks, where candidates are redrawn
-    each iteration inside the unit cube) together with the known optimum.
+    ``optimum_index`` and ``optimum_value`` follow from the values. Every
+    observed input, the initial design included, is a row of ``points``.
     """
 
-    candidates: CandidateSet
+    points: np.ndarray
+    true_values: np.ndarray
     noise_stddev: float
-    true_values: np.ndarray | None = None
-    optimum_index: int | None = None
-    optimum_value: float = float("nan")
-    objective: Callable[[np.ndarray], float] | None = None
-    metadata: dict = field(default_factory=dict)
+    optimum_index: int = field(init=False)
+    optimum_value: float = field(init=False)
 
     def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[:, None]
+        if pts.ndim != 2 or pts.shape[0] == 0:
+            raise ConfigurationError("candidate points must be a non-empty (n, d) array")
+        tv = np.asarray(self.true_values, dtype=float)
+        if tv.shape != (pts.shape[0],):
+            raise ConfigurationError("true_values must align with the candidate points")
+        if not np.all(np.isfinite(tv)):
+            raise ConfigurationError("true_values must be finite")
         if self.noise_stddev < 0:
             raise ConfigurationError("noise_stddev must be non-negative")
-        if (self.true_values is None) == (self.objective is None):
-            raise ConfigurationError(
-                "exactly one of true_values (finite mode) or objective must be set"
-            )
-        if self.true_values is not None:
-            tv = np.asarray(self.true_values, dtype=float).copy()
-            tv.setflags(write=False)
-            object.__setattr__(self, "true_values", tv)
-            if tv.shape != (len(self.candidates),):
-                raise ConfigurationError("true_values must align with the candidate set")
-            if self.optimum_index is None or not (
-                0 <= self.optimum_index < tv.shape[0]
-            ):
-                raise ConfigurationError("finite instance needs a valid optimum_index")
-            if tv[self.optimum_index] != self.optimum_value or self.optimum_value != tv.max():
-                raise ConfigurationError("optimum_value must be max(true_values) at optimum_index")
-            if self.candidates.provenance != FIXED_GRID:
-                raise ConfigurationError("finite instances require a fixed candidate grid")
-        elif not np.isfinite(self.optimum_value):
-            raise ConfigurationError("objective mode needs a known finite optimum_value")
+        for name, arr in (("points", pts), ("true_values", tv)):
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        idx = int(np.argmax(tv))
+        object.__setattr__(self, "optimum_index", idx)
+        object.__setattr__(self, "optimum_value", float(tv[idx]))
 
     @property
-    def is_finite(self) -> bool:
-        return self.true_values is not None
+    def dim(self) -> int:
+        return self.points.shape[1]
 
-    @classmethod
-    def finite(cls, candidates: CandidateSet, true_values, noise_stddev: float,
-               metadata: dict | None = None) -> "ProblemInstance":
-        tv = np.asarray(true_values, dtype=float)
-        idx = int(np.argmax(tv))
-        return cls(candidates, float(noise_stddev), tv, idx, float(tv[idx]),
-                   metadata=metadata or {})
+
+@dataclass(frozen=True)
+class ContinuousInstance:
+    """A continuous domain: an objective on the unit cube [0, 1]^dim.
+
+    Each iteration draws ``candidate_count`` fresh uniform candidates;
+    ``optimum_value`` is the objective's known maximum, for regret.
+    """
+
+    objective: Callable[[np.ndarray], float]
+    dim: int
+    candidate_count: int
+    optimum_value: float
+    noise_stddev: float
+
+    def __post_init__(self):
+        if self.dim < 1 or self.candidate_count < 1:
+            raise ConfigurationError("dim and candidate_count must be >= 1")
+        if not math.isfinite(self.optimum_value):
+            raise ConfigurationError("a continuous instance needs a known finite optimum_value")
+        if self.noise_stddev < 0:
+            raise ConfigurationError("noise_stddev must be non-negative")
+
+
+ProblemInstance = FiniteInstance | ContinuousInstance
 
 
 @dataclass(frozen=True)
@@ -162,12 +176,8 @@ class BoTrace:
     cumulative_regret: np.ndarray
     initial_x: np.ndarray        # (k, d)
     initial_y: np.ndarray
-    initial_indices: np.ndarray | None
+    initial_indices: np.ndarray | None   # grid rows; None on a continuous instance
     optimum_value: float
-
-    @property
-    def iterations(self) -> np.ndarray:
-        return np.arange(1, self.horizon + 1)
 
 
 @dataclass(frozen=True)
@@ -254,38 +264,34 @@ class _MomentCache:
 
 def _resolve_initial_design(instance: ProblemInstance, design,
                             rng: np.random.Generator):
-    """Return (indices or None, points array) for the warm-start observations."""
-    pts = instance.candidates.points
-    d = instance.candidates.dim
-    if design is None:
-        return None, np.empty((0, d))
-    if isinstance(design, (int, np.integer)):
-        count = int(design)
+    """Return (grid indices or None, points array) for the warm-start observations.
+
+    On a finite instance the design is an index array, possibly empty; a
+    count draws that many distinct rows. A continuous instance takes only a
+    count, of uniform points in the unit cube.
+    """
+    finite = isinstance(instance, FiniteInstance)
+    if design is None or isinstance(design, (int, np.integer)):
+        count = int(design or 0)
         if count < 0:
             raise ConfigurationError("initial design count must be >= 0")
-        if count == 0:
-            return None, np.empty((0, d))
-        if instance.is_finite:
-            if count > len(instance.candidates):
-                raise ConfigurationError("initial design larger than the candidate set")
-            idx = np.sort(rng.choice(len(instance.candidates), size=count, replace=False))
-            return idx, pts[idx]
-        return None, rng.random((count, d))
-    if instance.is_finite:
+        if not finite:
+            return None, rng.random((count, instance.dim))
+        m = instance.points.shape[0]
+        if count > m:
+            raise ConfigurationError("initial design larger than the candidate set")
+        idx = np.sort(rng.choice(m, size=count, replace=False))
+    elif finite:
         idx = np.asarray(design, dtype=int)
-        if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= len(instance.candidates)):
+        if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= instance.points.shape[0]):
             raise ConfigurationError("initial design indices out of range")
-        return idx, pts[idx]
-    x = np.asarray(design, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ConfigurationError("initial design points have the wrong dimension")
-    return None, x
+    else:
+        raise ConfigurationError("a continuous instance's initial design is a point count")
+    return idx, instance.points[idx]
 
 
-def _true_value(instance: ProblemInstance, idx: int, x: np.ndarray) -> float:
-    if instance.is_finite:
+def _true_value(instance: ProblemInstance, idx: int | None, x: np.ndarray) -> float:
+    if isinstance(instance, FiniteInstance):
         return float(instance.true_values[idx])
     return float(instance.objective(x))
 
@@ -305,9 +311,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
     """
     T = config.horizon
     kind = config.acquisition.kind
-    per_iteration = instance.candidates.provenance == PER_ITERATION_RANDOM
-    if per_iteration and instance.is_finite:
-        raise ConfigurationError("per-iteration candidates require objective mode")
+    finite = isinstance(instance, FiniteInstance)
 
     noise_rng = substream(seed, rep, NOISE)
     conf_rng = substream(seed, rep, CONFIDENCE)
@@ -327,33 +331,24 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
         init_y[i] = f_i + noise_rng.standard_normal() * instance.noise_stddev
         state = gp.incremental_update(state, init_x[i], init_y[i])
 
-    fixed_pts = instance.candidates.points
     rff: RffModel | None = None
     if kind in ("ts", "pims"):
         rff = build_rff(kernel, config.acquisition.num_features, feat_rng)
-        if not per_iteration:
+        if finite:
             # Sample paths need the prior path at the candidates and at the
-            # observed inputs: the initial design (grid rows, or extra rows
-            # stacked below the grid) followed by the selected grid rows.
-            # Their features are computed once per feature draw.
-            if init_idx is not None:
-                path_pts, init_rows = fixed_pts, init_idx
-            else:
-                path_pts = np.vstack([fixed_pts, init_x])
-                init_rows = len(fixed_pts) + np.arange(n_init)
-            path_features = rff_features(rff, path_pts)
+            # observed inputs, which are grid rows too: the grid's features,
+            # computed once per feature draw, cover both.
+            path_features = rff_features(rff, instance.points)
 
-    cache = None if per_iteration else _MomentCache(state, fixed_pts, T + n_init + 1)
+    cache = _MomentCache(state, instance.points, T + n_init + 1) if finite else None
 
     sel_idx = np.empty(T, dtype=int)
-    sel_x = np.empty((T, instance.candidates.dim))
+    sel_x = np.empty((T, instance.dim))
     zeta_val = np.full(T, np.nan)
     obs_y = np.empty(T)
     mu_sel = np.empty(T)
     sd_sel = np.empty(T)
     regret = np.empty(T)
-
-    resample_count = instance.candidates.resample_count or len(instance.candidates)
 
     try:
         for t in range(1, T + 1):
@@ -368,19 +363,19 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 )
                 state = gp.batch_state(kernel, state.inputs.copy(), state.outputs.copy(),
                                        config.noise_variance)
-                if not per_iteration:
-                    cache = _MomentCache(state, fixed_pts, T + n_init + 1)
+                if finite:
+                    cache = _MomentCache(state, instance.points, T + n_init + 1)
                 if rff is not None:
                     rff = build_rff(kernel, config.acquisition.num_features, feat_rng)
-                    if not per_iteration:
-                        path_features = rff_features(rff, path_pts)
+                    if finite:
+                        path_features = rff_features(rff, instance.points)
 
-            if per_iteration:
-                pts = cand_rng.random((resample_count, instance.candidates.dim))
-                mean, var = gp.posterior_batch(state, pts)
-            else:
-                pts = fixed_pts
+            if finite:
+                pts = instance.points
                 mean, var = cache.moments()
+            else:
+                pts = cand_rng.random((instance.candidate_count, instance.dim))
+                mean, var = gp.posterior_batch(state, pts)
 
             if kind == "ucb":
                 beta = next_confidence(config.schedule, t, conf_rng)
@@ -390,11 +385,11 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 incumbent = float(np.max(state.outputs)) if state.n_obs else 0.0
                 idx = int(np.argmax(expected_improvement(mean, var, incumbent)))
             else:  # ts, pims
-                if per_iteration:
-                    inputs = path_inputs(state, rff, pts)
-                else:
-                    obs_rows = np.concatenate([init_rows, sel_idx[: t - 1]])
+                if finite:
+                    obs_rows = np.concatenate([init_idx, sel_idx[: t - 1]])
                     inputs = (path_features, obs_rows, cache.V[: cache.n])
+                else:
+                    inputs = path_inputs(state, rff, pts)
                 path = sample_posterior_path(state, *inputs, path_rng)
                 if kind == "ts":
                     idx = int(np.argmax(path))
@@ -414,7 +409,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
             sd_sel[t - 1] = np.sqrt(max(var[idx], 0.0))
             regret[t - 1] = instance.optimum_value - f_t
 
-            if cache is not None:
+            if finite:
                 # The solve row for a candidate point is already a cached
                 # column of V, so the update needs no triangular solve.
                 new_state = gp.incremental_update(state, x_t, y_t,

@@ -258,23 +258,21 @@ def empty_state(kernel: Kernel, noise_variance: float, capacity: int = 64) -> Gp
     """Fresh state with no observations; posterior equals the prior."""
     if not noise_variance > 0:
         raise ConfigurationError("noise_variance must be positive")
-    dim = 1 if isinstance(kernel, ExplicitKernel) else kernel.dim
-    return GpState(kernel, float(noise_variance), _Buffer(dim, capacity), 0)
+    return GpState(kernel, float(noise_variance), _Buffer(kernel.dim, capacity), 0)
 
 
 def batch_state(kernel: Kernel, X, y, noise_variance: float) -> GpState:
     """Build a state from a whole dataset with one dense Cholesky."""
     if not noise_variance > 0:
         raise ConfigurationError("noise_variance must be positive")
-    dim = 1 if isinstance(kernel, ExplicitKernel) else kernel.dim
-    X = _as_points(X, dim)
+    X = _as_points(X, kernel.dim)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
     if y.shape[0] != n:
         raise ConfigurationError("inputs and outputs must have equal length")
     if n and not np.all(np.isfinite(y)):
         raise ObservationError("non-finite observation value")
-    buf = _Buffer(dim, max(n, 8))
+    buf = _Buffer(kernel.dim, max(n, 8))
     if n:
         K = kernel_matrix(kernel, X) + noise_variance * np.eye(n)
         try:
@@ -416,8 +414,7 @@ def _jittered_cholesky(K: np.ndarray, scale: float, label: str = "prior Gram") -
 
 
 def _check_candidates(kernel: Kernel, candidates) -> np.ndarray:
-    dim = 1 if isinstance(kernel, ExplicitKernel) else kernel.dim
-    X = _as_points(candidates, dim)
+    X = _as_points(candidates, kernel.dim)
     if X.shape[0] == 0:
         raise ConfigurationError("candidate set must be non-empty")
     return X

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from randbo import analysis, bench, cli, confidence, gp
-from randbo.acquisition import CandidateSet, build_rff, rff_features
-from randbo.engine import ProblemInstance, RunConfig, run_replications
+from randbo.acquisition import build_rff, rff_features
+from randbo.engine import FiniteInstance, RunConfig, run_replications
 from randbo.rng import substream
 
 SE = gp.KernelSpec.isotropic
@@ -40,14 +40,14 @@ def test_criterion_1_optimum_bound_sweep():
         n_data = int(rng.integers(0, 21))
         dim = int(rng.integers(1, 4))
         kernel = SE(families[i % 2], float(rng.uniform(0.1, 1.0)), dim)
-        cands = CandidateSet(rng.random((m, dim)))
+        points = rng.random((m, dim))
         if n_data:
             X = rng.random((n_data, dim))
             y = gp.sample_prior(kernel, X, rng) + rng.normal(0, 0.1, size=n_data)
             dataset = (X, y)
         else:
             dataset = None
-        check = analysis.validate_optimum_bound(kernel, cands, dataset, 1e-2,
+        check = analysis.validate_optimum_bound(kernel, points, dataset, 1e-2,
                                                 100000, rng)
         margin = (check.lhs - check.rhs) / check.combined_stderr
         worst = max(worst, margin)
@@ -79,7 +79,7 @@ def test_criterion_2_finite_regret_bound():
         for tr in traces
     ]))
     bound = analysis.bcr_bound_finite(200, 125, 1e-4, gain)
-    limit = bound + 3 * summary.stderr_cumulative_regret
+    limit = bound + 3 * summary.stderr_cumulative_curve[-1]
     passed = summary.mean_cumulative_regret <= limit
     report("criterion 2 (finite-domain regret bound)", passed,
            f"mean R_T={summary.mean_cumulative_regret:.2f} "
@@ -254,7 +254,7 @@ class _TwentyPointSampler:
     def __call__(self, rep, rng):
         pts = rng.random((20, 2))
         vals = gp.sample_prior(self.kernel, pts, rng)
-        return ProblemInstance.finite(CandidateSet(pts), vals, self.noise_stddev)
+        return FiniteInstance(pts, vals, self.noise_stddev)
 
 
 def test_criterion_7_high_prob_coverage():
@@ -324,11 +324,12 @@ def test_criterion_9_simple_regret_ordering():
         traces = run_replications(sampler, cfg, 20, 99)
         summaries[name] = analysis.summarize_traces(traces)
     si, sg = summaries["irgp_ucb"], summaries["gp_ucb"]
-    margin = math.hypot(si.stderr_simple_regret, sg.stderr_simple_regret)
-    passed = si.mean_simple_regret <= sg.mean_simple_regret + margin
+    mi, mg = si.mean_simple_curve[-1], sg.mean_simple_curve[-1]
+    ei, eg = si.stderr_simple_curve[-1], sg.stderr_simple_curve[-1]
+    margin = math.hypot(ei, eg)
+    passed = mi <= mg + margin
     report("criterion 9 (simple-regret ordering)", passed,
-           f"irgp={si.mean_simple_regret:.4f}+-{si.stderr_simple_regret:.4f} vs "
-           f"gp_ucb={sg.mean_simple_regret:.4f}+-{sg.stderr_simple_regret:.4f}")
+           f"irgp={mi:.4f}+-{ei:.4f} vs gp_ucb={mg:.4f}+-{eg:.4f}")
     assert passed
 
 

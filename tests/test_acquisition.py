@@ -16,17 +16,6 @@ def state_with(kernel, X, y, noise):
     return gp.batch_state(kernel, X, y, noise)
 
 
-class TestCandidateSet:
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            acq.CandidateSet(np.empty((0, 2)))
-
-    def test_one_dim_promotion(self):
-        cs = acq.CandidateSet([0.0, 1.0, 2.0])
-        assert cs.points.shape == (3, 1)
-        assert len(cs) == 3 and cs.dim == 1
-
-
 class TestUcbSelect:
     def test_zero_confidence_is_greedy(self):
         kernel = SE(1, ell=0.5)

@@ -8,13 +8,13 @@ import pytest
 
 from randbo import analysis as an
 from randbo import gp
-from randbo.acquisition import CandidateSet
 from randbo.confidence import Replay, ShiftedExpFinite, shift_continuous
 from randbo.engine import (
     BoTrace,
+    FiniteInstance,
     FixedInstanceSampler,
-    ProblemInstance,
     RunConfig,
+    run_replications,
 )
 from randbo.errors import ConfigurationError
 
@@ -63,7 +63,7 @@ class TestSummaries:
         s = an.summarize_traces(traces)
         assert s.mean_cumulative_curve.tolist() == [2.0, 4.0]
         want = np.std([2.0, 6.0], ddof=1) / math.sqrt(2)
-        assert s.stderr_cumulative_regret == pytest.approx(want)
+        assert s.stderr_cumulative_curve[-1] == pytest.approx(want)
 
     def test_horizon_restriction(self):
         s = an.summarize_traces([synthetic_trace([1.0, 2.0, 3.0])])
@@ -74,18 +74,18 @@ class TestSummaries:
 
 class TestEstimateBcr:
     def test_zero_noise_singleton_domain(self):
-        inst = ProblemInstance.finite(CandidateSet([[0.0]]), [1.0], 0.0)
+        inst = FiniteInstance([[0.0]], [1.0], 0.0)
         cfg = RunConfig(kernel=se(1), horizon=3, schedule=ShiftedExpFinite(4),
                         noise_variance=1e-3)
-        s = an.estimate_bcr(FixedInstanceSampler(inst), cfg, 5, 0)
+        s = an.summarize_traces(run_replications(FixedInstanceSampler(inst), cfg, 5, 0))
         assert s.mean_cumulative_regret == 0.0
 
     def test_deterministic_given_seed(self):
         sampler = an.counterexample_instance(0.0)
         cfg = RunConfig(kernel=sampler.kernel, horizon=4,
                         schedule=ShiftedExpFinite(2), noise_variance=1.0)
-        a = an.estimate_bcr(sampler, cfg, 10, 3)
-        b = an.estimate_bcr(sampler, cfg, 10, 3)
+        a = an.summarize_traces(run_replications(sampler, cfg, 10, 3))
+        b = an.summarize_traces(run_replications(sampler, cfg, 10, 3))
         np.testing.assert_array_equal(a.mean_cumulative_curve, b.mean_cumulative_curve)
 
     def test_two_point_greedy_matches_quadrature(self):
@@ -95,7 +95,7 @@ class TestEstimateBcr:
         sampler = an.counterexample_instance(0.0)
         cfg = RunConfig(kernel=sampler.kernel, horizon=2, noise_variance=1.0,
                         schedule=Replay(np.zeros(2)))
-        summary = an.estimate_bcr(sampler, cfg, 600, 17)
+        summary = an.summarize_traces(run_replications(sampler, cfg, 600, 17))
 
         nodes, weights = np.polynomial.hermite_e.hermegauss(64)
         weights = weights / math.sqrt(2.0 * math.pi)
@@ -107,7 +107,7 @@ class TestEstimateBcr:
         greedy_second = np.where(f0 + eps >= 0.0, f0, f1)
         integrand = (fmax - f0) + (fmax - greedy_second)
         expect = float(np.sum(w * integrand))
-        tol = 3 * summary.stderr_cumulative_regret
+        tol = 3 * summary.stderr_cumulative_curve[-1]
         assert abs(summary.mean_cumulative_regret - expect) < tol
 
 
@@ -123,7 +123,7 @@ class TestConditionalRegret:
         sampler = an.counterexample_instance(0.0)
         cfg = RunConfig(kernel=sampler.kernel, horizon=3, noise_variance=1.0,
                         schedule=Replay(np.zeros(3)))
-        greedy = an.estimate_bcr(sampler, cfg, 50, 5)
+        greedy = an.summarize_traces(run_replications(sampler, cfg, 50, 5))
         base = RunConfig(kernel=sampler.kernel, horizon=3, noise_variance=1.0,
                          schedule=ShiftedExpFinite(2))
         cond = an.estimate_conditional_regret(sampler, base, np.zeros(3), 50, 5)
@@ -137,14 +137,14 @@ class TestConditionalRegret:
         lazy = an.estimate_conditional_regret(sampler, cfg, np.zeros(10), 200, 9)
         eager = an.estimate_conditional_regret(sampler, cfg, np.full(10, 25.0), 200, 9)
         gap = abs(lazy.mean_cumulative_regret - eager.mean_cumulative_regret)
-        noise = math.hypot(lazy.stderr_cumulative_regret, eager.stderr_cumulative_regret)
+        noise = math.hypot(lazy.stderr_cumulative_curve[-1], eager.stderr_cumulative_curve[-1])
         assert gap > 3 * noise
 
     def test_law_of_total_expectation(self):
         sampler = an.counterexample_instance(0.0)
         cfg = RunConfig(kernel=sampler.kernel, horizon=4, noise_variance=1.0,
                         schedule=ShiftedExpFinite(2))
-        unconditional = an.estimate_bcr(sampler, cfg, 800, 101)
+        unconditional = an.summarize_traces(run_replications(sampler, cfg, 800, 101))
 
         rng = np.random.default_rng(7)
         cond_means = []
@@ -155,7 +155,7 @@ class TestConditionalRegret:
         cond_means = np.asarray(cond_means)
         avg = cond_means.mean()
         se_avg = cond_means.std(ddof=1) / math.sqrt(len(cond_means))
-        combined = math.hypot(se_avg, unconditional.stderr_cumulative_regret)
+        combined = math.hypot(se_avg, unconditional.stderr_cumulative_curve[-1])
         assert abs(avg - unconditional.mean_cumulative_regret) < 3 * combined
 
 
@@ -298,7 +298,7 @@ class TestGaussianTail:
 
 class TestValidateOptimumBound:
     def test_single_candidate_empty_data(self):
-        check = an.validate_optimum_bound(se(1), CandidateSet([[0.0]]), None,
+        check = an.validate_optimum_bound(se(1), [[0.0]], None,
                                           1e-4, 20000, 0)
         assert abs(check.lhs) < 3 * check.lhs_stderr
         assert check.rhs > 0.0
@@ -306,13 +306,13 @@ class TestValidateOptimumBound:
 
     def test_twenty_point_grid_empty_data(self):
         rng = np.random.default_rng(3)
-        cands = CandidateSet(rng.random((20, 2)))
+        cands = rng.random((20, 2))
         check = an.validate_optimum_bound(se(2), cands, None, 1e-4, 100000, 1)
         assert check.holds()
 
     def test_holds_after_observations(self):
         rng = np.random.default_rng(4)
-        cands = CandidateSet(rng.random((20, 2)))
+        cands = rng.random((20, 2))
         X = rng.random((10, 2))
         y = rng.normal(size=10)
         check = an.validate_optimum_bound(se(2), cands, (X, y), 1e-2, 100000, 2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from randbo import bench, gp
+from randbo.engine import ContinuousInstance
 from randbo.errors import ConfigurationError, DomainError, IngestionError
 from randbo.rng import INSTANCE, substream
 
@@ -37,7 +38,7 @@ class TestSyntheticInstance:
     def test_paper_scale_grid(self):
         grid = bench.GridSpec.uniform(0.0, 0.9, 10, 3)
         inst = bench.make_synthetic_instance(self.KERNEL, grid, 1e-2, 0)
-        assert len(inst.candidates) == 1000
+        assert inst.points.shape == (1000, 3)
         assert inst.optimum_value == inst.true_values.max()
         assert inst.noise_stddev == pytest.approx(1e-2)
 
@@ -186,10 +187,10 @@ class TestBenchmarkInstances:
             assert inst.objective(u) == pytest.approx(want, abs=1e-12)
 
     def test_metadata_records_domain(self):
-        inst = bench.make_benchmark_instance("ackley", dim=4)
-        assert inst.metadata["domain_low"] == pytest.approx(-32.768)
-        assert inst.metadata["dim"] == 4
-        assert inst.candidates.provenance == "per_iteration_random"
+        inst = bench.make_benchmark_instance("ackley", dim=4, candidate_count=64)
+        assert isinstance(inst, ContinuousInstance)
+        assert inst.dim == 4 and inst.candidate_count == 64
+        assert inst.objective.low == pytest.approx(-32.768)
 
     def test_fixed_dimension_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -218,7 +219,7 @@ class TestTabular:
             rows.append(",".join(repr(float(v)) for v in vals) + f",{rng.normal():.6f}")
         p = self.write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n")
         _, inst = bench.ingest_tabular(p, "obj")
-        feats = inst.candidates.points
+        feats = inst.points
         assert np.all(np.abs(feats.mean(axis=0)) < 1e-10)
         np.testing.assert_allclose(feats.var(axis=0), 1.0, atol=1e-10)
 

@@ -104,6 +104,27 @@ class TestBuiltinCheckConfigs:
         assert parse_text(text).values == parse_config(CONFIGS / name).values
 
 
+ROSTER_KINDS = ("synthetic_bcr", "conditional_regret", "benchmark", "tabular")
+
+
+class TestShippedConfigs:
+    """Every file in ``configs/`` parses; a config with an algorithm roster
+    also builds its domain and the run config of each algorithm. Nothing
+    is run."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.txt")), ids=lambda p: p.name)
+    def test_builds(self, path):
+        config = parse_config(path)
+        assert config.kind in cli.RUNNERS
+        if config.kind not in ROSTER_KINDS:
+            return
+        _, domain_size, dim = cli._domain(config)
+        kernel = cli.build_kernel(config, dim)
+        for name in config.algorithms:
+            run_cfg = cli._run_config_for(config, name, domain_size, dim, kernel)
+            assert run_cfg.horizon == config.horizon
+
+
 class TestBuildAlgorithm:
     CFG = parse_text(MINIMAL_SYNTHETIC)
 
@@ -223,6 +244,21 @@ class TestRunExperiment:
         assert status == 0
         assert (out / "summary_irgp_ucb_heuristic.csv").exists()
         assert (out / "summary_ei.csv").exists()
+
+    def test_benchmark_roster_writes_no_finite_domain_bounds(self, tmp_path):
+        # Candidates redrawn every iteration have no fixed |X|, so neither
+        # finite-domain report applies to a benchmark.
+        text = ("kind = benchmark\nbenchmark.name = holder_table\n"
+                "horizon = 4\nn_reps = 2\ncandidates.count = 40\n"
+                "kernel.lengthscale = 0.2\ninitial.count = 3\n"
+                "algorithms = irgp_ucb, irgp_ucb_high_prob\n"
+                "noise_stddev = 0.01\n")
+        _, out, status = self.run_into(tmp_path, text)
+        assert status == 0
+        assert (out / "summary_irgp_ucb_high_prob.csv").exists()
+        assert not (out / "bounds.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "bounds.json" not in manifest["outputs"]
 
     def test_tabular_kind(self, tmp_path):
         data = tmp_path / "data.csv"

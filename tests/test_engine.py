@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from randbo import gp
-from randbo.acquisition import CandidateSet, build_rff, pims_select, ts_select
+from randbo.acquisition import build_rff, pims_select, ts_select
 from randbo.analysis import CounterexampleSampler
 from randbo.confidence import Constant, Replay, ShiftedExpFinite, next_confidence
 from randbo.engine import (
     AcquisitionSpec,
+    ContinuousInstance,
+    FiniteInstance,
     FixedInstanceSampler,
-    ProblemInstance,
     RunConfig,
     run_bo,
     run_replications,
@@ -37,7 +38,7 @@ def random_instance(seed, m=20, dim=2, noise=0.05):
     rng = np.random.default_rng(seed)
     pts = rng.random((m, dim))
     vals = gp.sample_prior(se(dim), pts, rng)
-    return ProblemInstance.finite(CandidateSet(pts), vals, noise)
+    return FiniteInstance(pts, vals, noise)
 
 
 def ucb_config(horizon, m, **kw):
@@ -45,27 +46,58 @@ def ucb_config(horizon, m, **kw):
                      schedule=ShiftedExpFinite(m), noise_variance=1e-3, **kw)
 
 
+def _objective(x):
+    return float(-np.sum((x - 0.25) ** 2))
+
+
 class TestProblemInstance:
+    """The two instance kinds, FiniteInstance and ContinuousInstance."""
+
     def test_finite_factory_consistency(self):
         inst = random_instance(0)
         assert inst.optimum_value == inst.true_values.max()
         assert inst.true_values[inst.optimum_index] == inst.optimum_value
 
-    def test_inconsistent_optimum_rejected(self):
-        pts = CandidateSet([[0.0], [1.0]])
+    def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
-            ProblemInstance(pts, 0.0, true_values=np.array([1.0, 2.0]),
-                            optimum_index=0, optimum_value=1.0)
+            FiniteInstance(np.empty((0, 2)), np.empty(0), 0.0)
 
-    def test_needs_exactly_one_mode(self):
-        pts = CandidateSet([[0.0]])
+    def test_one_dim_promotion(self):
+        inst = FiniteInstance([0.0, 1.0, 2.0], [0.0, 2.0, 1.0], 0.0)
+        assert inst.points.shape == (3, 1) and inst.dim == 1
+        assert not inst.points.flags.writeable and not inst.true_values.flags.writeable
+
+    def test_finite_rejects_non_finite_values(self):
         with pytest.raises(ConfigurationError):
-            ProblemInstance(pts, 0.0)
+            FiniteInstance([[0.0], [1.0]], [float("inf"), 0.0], 0.0)
+
+    def test_finite_rejects_misaligned_values_and_negative_noise(self):
+        with pytest.raises(ConfigurationError):
+            FiniteInstance([[0.0], [1.0]], [0.0], 0.0)
+        with pytest.raises(ConfigurationError):
+            FiniteInstance([[0.0], [1.0]], [0.0, 1.0], -0.1)
+
+    @pytest.mark.parametrize("dim, count, optimum, noise", [
+        (0, 4, 0.0, 0.0),
+        (2, 0, 0.0, 0.0),
+        (2, 4, float("nan"), 0.0),
+        (2, 4, float("inf"), 0.0),
+        (2, 4, 0.0, -0.1),
+    ], ids=["dim", "candidate_count", "nan_optimum", "inf_optimum", "noise"])
+    def test_continuous_rejects(self, dim, count, optimum, noise):
+        with pytest.raises(ConfigurationError):
+            ContinuousInstance(_objective, dim, count, optimum, noise)
+
+    def test_continuous_design_is_a_count(self):
+        inst = ContinuousInstance(_objective, 2, 8, 0.0, 0.0)
+        cfg = ucb_config(3, 8, initial_design=[[0.1, 0.2]])
+        with pytest.raises(ConfigurationError):
+            run_bo(inst, cfg, 0)
 
 
 class TestRunBo:
     def test_singleton_domain_zero_regret(self):
-        inst = ProblemInstance.finite(CandidateSet([[0.0]]), [2.5], 0.0)
+        inst = FiniteInstance([[0.0]], [2.5], 0.0)
         cfg = RunConfig(kernel=se(1), horizon=1, schedule=Constant(1.0),
                         noise_variance=1e-3)
         trace = run_bo(inst, cfg, 0)
@@ -76,8 +108,7 @@ class TestRunBo:
     def test_zero_confidence_sequence_is_greedy_repeat(self):
         # No noise, zero exploration width: after seeing the best point once,
         # the driver repeats it and regret stays zero.
-        pts = CandidateSet([[0.0], [1.0], [2.0]])
-        inst = ProblemInstance.finite(pts, [0.0, 3.0, 1.0], 0.0)
+        inst = FiniteInstance([[0.0], [1.0], [2.0]], [0.0, 3.0, 1.0], 0.0)
         cfg = RunConfig(kernel=se(1, ell=0.1), horizon=5, noise_variance=1e-6,
                         schedule=Replay(np.zeros(5)), initial_design=[1])
         trace = run_bo(inst, cfg, 3)
@@ -125,7 +156,7 @@ class TestRunBo:
         inst = random_instance(2, m=15)
         cfg = ucb_config(20, 15, initial_design=3)
         trace = run_bo(inst, cfg, 9)
-        pts = inst.candidates.points
+        pts = inst.points
         for t in range(trace.horizon):
             X = np.vstack([trace.initial_x, trace.selected_x[:t]])
             y = np.concatenate([trace.initial_y, trace.observed_y[:t]])
@@ -149,7 +180,7 @@ class TestRunBo:
         assert gp._PRIOR_CACHE.held_bytes == 0
         for name in ("selected_index", "mean_at_selection", "sd_at_selection"):
             np.testing.assert_array_equal(getattr(trace, name), getattr(cached, name))
-        pts = inst.candidates.points
+        pts = inst.points
         for t in range(trace.horizon):
             X = np.vstack([trace.initial_x, trace.selected_x[:t]])
             y = np.concatenate([trace.initial_y, trace.observed_y[:t]])
@@ -174,7 +205,7 @@ class TestRunBo:
         cfg = ucb_config(4, 20, initial_design=[0, 3, 7])
         trace = run_bo(inst, cfg, 0)
         np.testing.assert_array_equal(trace.initial_indices, [0, 3, 7])
-        np.testing.assert_allclose(trace.initial_x, inst.candidates.points[[0, 3, 7]])
+        np.testing.assert_allclose(trace.initial_x, inst.points[[0, 3, 7]])
         with pytest.raises(ConfigurationError):
             run_bo(inst, ucb_config(4, 20, initial_design=99), 0)
         with pytest.raises(ConfigurationError):
@@ -195,7 +226,7 @@ class TestRunBo:
         pts = rng.random((40, 1))
         truth = se(1, ell=0.1)
         vals = gp.sample_prior(truth, pts, 7)
-        inst = ProblemInstance.finite(CandidateSet(pts), vals, 0.01)
+        inst = FiniteInstance(pts, vals, 0.01)
         grid = (se(1, ell=0.1), se(1, ell=1.0))
         cfg = RunConfig(kernel=se(1, ell=1.0), horizon=12,
                         schedule=ShiftedExpFinite(40), noise_variance=1e-4,
@@ -210,8 +241,7 @@ class TestRunBo:
         # switch kernels on the way.
         rng = np.random.default_rng(0)
         pts = rng.random((40, 1))
-        inst = ProblemInstance.finite(CandidateSet(pts), gp.sample_prior(se(1, ell=0.1), pts, 7),
-                                      0.01)
+        inst = FiniteInstance(pts, gp.sample_prior(se(1, ell=0.1), pts, 7), 0.01)
         grid = (se(1, ell=0.1), se(1, ell=1.0))
         cfg = RunConfig(kernel=se(1, ell=1.0), horizon=16, schedule=ShiftedExpFinite(40),
                         noise_variance=1e-4, initial_design=2, refit_period=4, refit_grid=grid)
@@ -241,16 +271,9 @@ class TestRunBo:
             RunConfig(kernel=se(1), horizon=2)
 
 
-def _objective(x):
-    return float(-np.sum((x - 0.25) ** 2))
-
-
 class TestObjectiveMode:
     def test_per_iteration_candidates(self):
-        cands = CandidateSet(np.full((1, 2), 0.5), provenance="per_iteration_random",
-                             resample_count=64)
-        inst = ProblemInstance(cands, noise_stddev=0.0, objective=_objective,
-                               optimum_value=0.0)
+        inst = ContinuousInstance(_objective, 2, 64, 0.0, 0.0)
         cfg = RunConfig(kernel=se(2), horizon=10, schedule=ShiftedExpFinite(64),
                         noise_variance=1e-4, initial_design=3)
         trace = run_bo(inst, cfg, 2)
@@ -259,12 +282,6 @@ class TestObjectiveMode:
         # candidate resampling: repeated coordinates across rounds are
         # vanishingly unlikely
         assert len({tuple(x) for x in trace.selected_x}) == 10
-
-    def test_finite_instance_cannot_resample(self):
-        cands = CandidateSet([[0.0], [1.0]], provenance="per_iteration_random",
-                             resample_count=4)
-        with pytest.raises(ConfigurationError):
-            ProblemInstance.finite(cands, [0.0, 1.0], 0.0)
 
 
 class TestSamplePathRoute:
@@ -284,7 +301,6 @@ class TestSamplePathRoute:
         rff = build_rff(cfg.kernel, cfg.acquisition.num_features, feat_rng)
         path_rng = substream(seed, 0, PATHS)
         cand_rng = substream(seed, 0, CANDIDATES)
-        cands = instance.candidates
         state = gp.empty_state(cfg.kernel, cfg.noise_variance)
         for x, y in zip(trace.initial_x, trace.initial_y):
             state = gp.incremental_update(state, x, y)
@@ -295,26 +311,21 @@ class TestSamplePathRoute:
                                                 list(cfg.refit_grid), cfg.noise_variance)
                 state = gp.batch_state(kernel, state.inputs, state.outputs, cfg.noise_variance)
                 rff = build_rff(kernel, cfg.acquisition.num_features, feat_rng)
-            if cands.provenance == "per_iteration_random":
-                pts = cand_rng.random((cands.resample_count, cands.dim))
+            if isinstance(instance, ContinuousInstance):
+                pts = cand_rng.random((instance.candidate_count, instance.dim))
             else:
-                pts = cands.points
+                pts = instance.points
             picks.append(select(state, rff, pts, path_rng))
             state = gp.incremental_update(state, x, y)
         return np.array(picks)
 
     @pytest.mark.parametrize("kind", ["ts", "pims"])
-    @pytest.mark.parametrize("case", ["grid_design", "offgrid_design", "refit",
-                                      "per_iteration"])
+    @pytest.mark.parametrize("case", ["grid_design", "refit", "per_iteration"])
     def test_engine_matches_standalone_sampler(self, kind, case):
-        if case in ("offgrid_design", "per_iteration"):
-            # Objective mode: the initial design is drawn off the candidates;
-            # on a fixed grid its features sit in extra rows below the grid's.
-            pts = np.random.default_rng(5).random((30, 2))
-            provenance = "fixed_grid" if case == "offgrid_design" else "per_iteration_random"
-            inst = ProblemInstance(CandidateSet(pts, provenance, resample_count=30),
-                                   noise_stddev=0.05, objective=_objective,
-                                   optimum_value=0.0)
+        if case == "per_iteration":
+            # A continuous instance: the initial design and every
+            # iteration's candidates are fresh uniform points.
+            inst = ContinuousInstance(_objective, 2, 30, 0.0, 0.05)
         else:
             inst = random_instance(5, m=30)
         refit = {}
@@ -329,12 +340,17 @@ class TestSamplePathRoute:
             assert len(set(trace.selected_index.tolist())) > 1
 
 
+def _nan_objective(x):
+    return float("nan")
+
+
 def _bad_instance(rep, rng):
-    return ProblemInstance.finite(CandidateSet([[0.0]]), [float("nan")], 0.0)
+    # Fails inside run_bo: the first observation is not finite.
+    return ContinuousInstance(_nan_objective, 2, 4, 0.0, 0.0)
 
 
 class _FailingSampler:
-    """Sampler whose third replication cannot be built."""
+    """Sampler whose third replication fails."""
 
     def __init__(self, base):
         self.base = base
@@ -380,8 +396,7 @@ class TestRunReplications:
     def test_ts_first_pick_balanced_across_replications(self):
         # Two effectively independent candidates under the prior: the first
         # selection should split about evenly across replications.
-        pts = CandidateSet([[0.0], [10.0]])
-        inst = ProblemInstance.finite(pts, [0.0, 0.0], 0.1)
+        inst = FiniteInstance([[0.0], [10.0]], [0.0, 0.0], 0.1)
         sampler = FixedInstanceSampler(inst)
         cfg = RunConfig(kernel=se(1, ell=0.5), horizon=1, noise_variance=1e-3,
                         acquisition=AcquisitionSpec("ts", num_features=128))
