@@ -2,9 +2,11 @@
 
 UCB, expected-improvement and improvement-probability scores of posterior
 moments, and the posterior sample paths of Thompson sampling and PIMS,
-drawn by decoupled pathwise conditioning: a random-Fourier-feature prior
-path corrected by an exact-kernel data update. Ties always break toward the
-lowest candidate index so selections are reproducible.
+drawn by pathwise conditioning: a prior path corrected by an exact-kernel
+data update. On a fixed grid whose prior factor is cached the features are
+that factor, so the prior path, and with it the posterior path, is exact;
+elsewhere random Fourier features approximate the prior path. Ties always
+break toward the lowest candidate index so selections are reproducible.
 """
 
 from __future__ import annotations
@@ -99,16 +101,20 @@ def sample_posterior_path(state: gp.GpState, features: np.ndarray,
                           obs_rows: np.ndarray, V: np.ndarray, seed) -> np.ndarray:
     """Values at the candidates of one posterior sample path.
 
-    Decoupled pathwise conditioning (Wilson et al. 2020, "Efficiently
-    Sampling Functions from GP Posteriors"): a random-feature prior path
-    f0 = phi w0 is corrected by an exact-kernel data update,
+    Pathwise conditioning (Wilson et al. 2020, "Efficiently Sampling
+    Functions from GP Posteriors"): a prior path f0 = phi w0 is corrected
+    by an exact-kernel data update,
 
         f = f0(cand) + V^T L^-1 (y - f0(X) - eps),   V = L^-1 K(X, cand),
 
     with w0 ~ N(0, I_M) drawn first and eps ~ N(0, sigma^2 I_n) second.
     The update uses the exact kernel, so the path's mean is the exact
-    posterior mean; only the prior path's covariance carries the feature
-    approximation. With no observations the path is the prior path.
+    posterior mean. Its covariance is exact when phi phi^T is the prior
+    Gram over the rows: with a grid's Cholesky factor as phi (M = m), f0 is
+    an exact prior draw and f an exact posterior draw (Wilson et al. 2020,
+    section 3). With random Fourier features the prior path's covariance
+    carries the feature approximation. With no observations the path is
+    the prior path.
 
     Parameters
     ----------
@@ -116,7 +122,8 @@ def sample_posterior_path(state: gp.GpState, features: np.ndarray,
         Observations X, y and the Cholesky factor L of K(X, X) + sigma^2 I.
     features : ndarray, shape (r, M)
         phi over a point set whose first m = V.shape[1] rows are the
-        candidates; the observed inputs are among its rows.
+        candidates; the observed inputs are among its rows. A grid's prior
+        factor, or random Fourier features.
     obs_rows : ndarray of int, shape (n,)
         Row of ``features`` for each observed input, in observation order.
     V : ndarray, shape (n, m)
@@ -148,7 +155,7 @@ def path_inputs(state: gp.GpState, rff: RffModel,
 
 
 def ts_select(state: gp.GpState, rff: RffModel, pts: np.ndarray, seed) -> int:
-    """Argmax over ``pts`` of one posterior sample path.
+    """Argmax over ``pts`` of one random-feature posterior sample path.
 
     The engine replay tests' fresh-input reference: ``path_inputs`` rebuilds its inputs.
     """

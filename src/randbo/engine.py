@@ -18,10 +18,14 @@ prior diagonal and each appended observation's Gram row are read from the
 process-level prior Gram of the grid (``gp.prior_data``), computed once per
 (kernel, grid) and shared by every replication and every refit that lands
 on the same kernel; a grid too large for that cache gets its rows computed
-per append instead. The posterior-sample rules reuse the cache: the grid's
-random features are computed once per feature draw, and each sample path
-is a prior path corrected through the cached V and the state's Cholesky
-factor.
+per append instead. The posterior-sample rules reuse the cache: on a grid
+whose prior factor L is cached (L L^T = K), the features of the prior path
+are L itself, so each path is an exact posterior draw, a prior draw L z
+corrected through the cached V and the state's Cholesky factor. A grid
+above the cache's size and a continuous instance take a random-Fourier-
+feature prior path instead, with ``AcquisitionSpec.num_features``
+features; on a continuous instance the iteration's V serves both the
+moments and the path.
 
 ``run_replications`` draws each replication's instance first; on a fixed
 grid the synthetic sampler's draw is a mat-vec with the grid's cached prior
@@ -67,7 +71,12 @@ ACQUISITION_KINDS = ("ucb", "ei", "ts", "pims")
 
 @dataclass(frozen=True)
 class AcquisitionSpec:
-    """Which selection rule to run, plus its feature budget where relevant."""
+    """Which selection rule to run, plus its feature budget where relevant.
+
+    ``num_features`` sizes the random-feature prior path of TS and PIMS on
+    a continuous instance or on a grid too large for the prior cache; a
+    cached grid's path uses its exact prior factor instead.
+    """
 
     kind: str = "ucb"
     num_features: int = 2000
@@ -331,14 +340,20 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
         init_y[i] = f_i + noise_rng.standard_normal() * instance.noise_stddev
         state = gp.incremental_update(state, init_x[i], init_y[i])
 
-    rff: RffModel | None = None
-    if kind in ("ts", "pims"):
+    def path_setup(kernel: gp.Kernel) -> tuple[RffModel | None, np.ndarray | None]:
+        # Sample paths need the prior path at the candidates and at the
+        # observed inputs, which on a grid are grid rows too. The grid's
+        # cached prior factor gives exact prior draws there; otherwise the
+        # grid's random features are computed once per feature draw.
+        prior = gp.prior_data(kernel, instance.points, factor=True) if finite else None
+        if prior is not None:
+            return None, prior.factor
         rff = build_rff(kernel, config.acquisition.num_features, feat_rng)
-        if finite:
-            # Sample paths need the prior path at the candidates and at the
-            # observed inputs, which are grid rows too: the grid's features,
-            # computed once per feature draw, cover both.
-            path_features = rff_features(rff, instance.points)
+        return rff, rff_features(rff, instance.points) if finite else None
+
+    sampled = kind in ("ts", "pims")
+    if sampled:
+        rff, path_features = path_setup(kernel)
 
     cache = _MomentCache(state, instance.points, T + n_init + 1) if finite else None
 
@@ -363,19 +378,22 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 )
                 state = gp.batch_state(kernel, state.inputs.copy(), state.outputs.copy(),
                                        config.noise_variance)
+                if sampled:
+                    rff, path_features = path_setup(kernel)
                 if finite:
                     cache = _MomentCache(state, instance.points, T + n_init + 1)
-                if rff is not None:
-                    rff = build_rff(kernel, config.acquisition.num_features, feat_rng)
-                    if finite:
-                        path_features = rff_features(rff, instance.points)
 
             if finite:
                 pts = instance.points
                 mean, var = cache.moments()
             else:
                 pts = cand_rng.random((instance.candidate_count, instance.dim))
-                mean, var = gp.posterior_batch(state, pts)
+                if sampled:
+                    # One V = L^-1 K(X, pts) serves the moments and the path.
+                    path_in = path_inputs(state, rff, pts)
+                    mean, var = gp.moments_from_solve(state, pts, path_in[2])
+                else:
+                    mean, var = gp.posterior_batch(state, pts)
 
             if kind == "ucb":
                 beta = next_confidence(config.schedule, t, conf_rng)
@@ -387,10 +405,8 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
             else:  # ts, pims
                 if finite:
                     obs_rows = np.concatenate([init_idx, sel_idx[: t - 1]])
-                    inputs = (path_features, obs_rows, cache.V[: cache.n])
-                else:
-                    inputs = path_inputs(state, rff, pts)
-                path = sample_posterior_path(state, *inputs, path_rng)
+                    path_in = (path_features, obs_rows, cache.V[: cache.n])
+                path = sample_posterior_path(state, *path_in, path_rng)
                 if kind == "ts":
                     idx = int(np.argmax(path))
                 else:

@@ -371,12 +371,13 @@ def posterior_batch(state: GpState, X) -> tuple[np.ndarray, np.ndarray]:
     Variances are clipped at zero to absorb roundoff.
     """
     X = _as_points(X, state.dim)
-    prior = kernel_diag(state.kernel, X)
-    if state.n_obs == 0:
-        return np.zeros(X.shape[0]), prior
-    V = cross_solve(state, X)
+    return moments_from_solve(state, X, cross_solve(state, X))
+
+
+def moments_from_solve(state: GpState, X, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``posterior_batch`` at X for a caller already holding V = ``cross_solve(state, X)``."""
     mean = V.T @ state.half_targets
-    var = prior - np.einsum("ij,ij->j", V, V)
+    var = kernel_diag(state.kernel, X) - np.einsum("ij,ij->j", V, V)
     return mean, np.maximum(var, 0.0)
 
 

@@ -1,4 +1,4 @@
-"""Tests for acquisition scores and selectors and the decoupled posterior path sampler."""
+"""Tests for acquisition scores and selectors and the pathwise posterior sampler."""
 
 import math
 
@@ -251,6 +251,31 @@ class TestSamplePosteriorPath:
         B = acq.rff_features(rff, pts) - G @ acq.rff_features(rff, X)
         expected = np.sum(B * B, axis=1) + noise * np.sum(G * G, axis=1)
         np.testing.assert_allclose(path_var, expected, rtol=0.05, atol=1e-6)
+
+
+    @pytest.mark.usefixtures("fresh_prior_cache")
+    def test_grid_factor_gives_exact_posterior_covariance(self):
+        # With the grid's cached prior factor as the features (L L^T = K)
+        # the path is an exact posterior draw: its mean is posterior_batch's
+        # and its full covariance is K(c, c) - V^T V, entrywise to within
+        # 5 Monte-Carlo SE, SE_ij = sqrt((C_ii C_jj + C_ij^2) / n).
+        kernel = SE(1, ell=0.5)
+        pts = np.linspace(-2.0, 2.0, 25)[:, None]
+        rows = np.array([6, 13, 19])
+        state = gp.batch_state(kernel, pts[rows], [0.8, -0.5, 1.3], 1e-2)
+        factor = gp.prior_data(kernel, pts, factor=True).factor
+        V = gp.cross_solve(state, pts)
+        rng = np.random.default_rng(7)
+        n = 20000
+        draws = np.stack([acq.sample_posterior_path(state, factor, rows, V, rng)
+                          for _ in range(n)])
+        mean, _ = gp.posterior_batch(state, pts)
+        se = draws.std(axis=0, ddof=1) / math.sqrt(n)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4.0 * se)
+        C = gp.kernel_matrix(kernel, pts) - V.T @ V
+        d = np.diagonal(C)
+        mc_se = np.sqrt((np.outer(d, d) + C * C) / n)
+        assert np.all(np.abs(np.cov(draws, rowvar=False) - C) <= 5.0 * mc_se)
 
 
 class TestTsSelect:

@@ -186,18 +186,26 @@ class TestRunExperiment:
             return cholesky(A)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
+        # TS and PIMS take their prior paths from the same cached factor.
         text = MINIMAL_SYNTHETIC.replace("grid.count = 3", "grid.count = 6").replace(
-            "algorithms = irgp_ucb", "algorithms = gp_ucb, irgp_ucb")
+            "algorithms = irgp_ucb", "algorithms = gp_ucb, irgp_ucb, ts, pims")
         _, _, status = self.run_into(tmp_path, text)
         assert status == 0
         assert shapes.count((36, 36)) == 1
 
     def test_byte_determinism_synthetic(self, tmp_path):
-        _, out_a, _ = self.run_into(tmp_path, MINIMAL_SYNTHETIC, "a")
-        _, out_b, _ = self.run_into(tmp_path, MINIMAL_SYNTHETIC, "b")
-        for fname in ("traces_irgp_ucb.csv", "summary_irgp_ucb.csv",
-                      "bounds.json", "manifest.json", "config.txt"):
+        text = MINIMAL_SYNTHETIC.replace("algorithms = irgp_ucb",
+                                         "algorithms = irgp_ucb, ts, pims")
+        _, out_a, _ = self.run_into(tmp_path, text, "a")
+        _, out_b, _ = self.run_into(tmp_path, text, "b")
+        _, out_c, _ = self.run_into(tmp_path, text + "n_jobs = 2\n", "c")
+        per_algorithm = [f"{kind}_{name}.csv" for name in ("irgp_ucb", "ts", "pims")
+                         for kind in ("traces", "summary")]
+        for fname in per_algorithm + ["bounds.json", "manifest.json", "config.txt"]:
             assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes(), fname
+        # The config and manifest record n_jobs; every result file is the same.
+        for fname in per_algorithm + ["bounds.json"]:
+            assert (out_a / fname).read_bytes() == (out_c / fname).read_bytes(), fname
 
     def test_byte_determinism_counterexample(self, tmp_path):
         _, out_a, _ = self.run_into(tmp_path, COUNTEREXAMPLE_SMALL, "ca")

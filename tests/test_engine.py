@@ -5,8 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from randbo import gp
-from randbo.acquisition import build_rff, pims_select, ts_select
+from randbo import engine, gp
+from randbo.acquisition import (
+    build_rff,
+    pims_scores,
+    pims_select,
+    sample_posterior_path,
+    ts_select,
+)
 from randbo.analysis import CounterexampleSampler
 from randbo.confidence import Constant, Replay, ShiftedExpFinite, next_confidence
 from randbo.engine import (
@@ -285,49 +291,74 @@ class TestObjectiveMode:
 
 
 class TestSamplePathRoute:
-    """run_bo's cached grid features and moment-cache V against the plain route.
+    """run_bo's sampler inputs against ones rebuilt from scratch.
 
-    The replay feeds ts_select / pims_select, which build every sampler
-    input from scratch, the same FEATURES and PATHS substreams and the
-    same observations; each selection must match the engine's. Refits
-    and per-iteration candidate draws are mirrored, so the features drawn
-    after each refit and the per-iteration route are checked too.
+    On a grid the prior cache holds, the replay factors the grid's Gram
+    itself and passes the factor as the path's features, with V from
+    ``gp.cross_solve``. On a grid above the cache's cap and on a continuous
+    instance it calls ts_select / pims_select, which build random features
+    from the same FEATURES substream. Paths come from the same PATHS
+    substream and the same observations; each selection must match the
+    engine's. Refits and per-iteration candidate draws are mirrored, so the
+    prior redrawn after each refit and the per-iteration route are checked
+    too.
     """
 
     @staticmethod
-    def replay(instance, cfg, trace, seed):
-        select = ts_select if cfg.acquisition.kind == "ts" else pims_select
+    def replay(instance, cfg, trace, seed, exact):
+        kind = cfg.acquisition.kind
         feat_rng = substream(seed, 0, FEATURES)
-        rff = build_rff(cfg.kernel, cfg.acquisition.num_features, feat_rng)
         path_rng = substream(seed, 0, PATHS)
         cand_rng = substream(seed, 0, CANDIDATES)
+
+        def prior(kernel):
+            if exact:
+                K = gp.kernel_matrix(kernel, instance.points)
+                return gp._jittered_cholesky(K, float(np.max(np.diagonal(K))))
+            return build_rff(kernel, cfg.acquisition.num_features, feat_rng)
+
+        features = prior(cfg.kernel)
         state = gp.empty_state(cfg.kernel, cfg.noise_variance)
         for x, y in zip(trace.initial_x, trace.initial_y):
             state = gp.incremental_update(state, x, y)
+        rows = [] if trace.initial_indices is None else list(trace.initial_indices)
         picks = []
         for t, (x, y) in enumerate(zip(trace.selected_x, trace.observed_y)):
             if cfg.refit_period is not None and t % cfg.refit_period == 0:
                 kernel = gp.fit_hyperparameters(state.inputs, state.outputs,
                                                 list(cfg.refit_grid), cfg.noise_variance)
                 state = gp.batch_state(kernel, state.inputs, state.outputs, cfg.noise_variance)
-                rff = build_rff(kernel, cfg.acquisition.num_features, feat_rng)
+                features = prior(kernel)
             if isinstance(instance, ContinuousInstance):
                 pts = cand_rng.random((instance.candidate_count, instance.dim))
             else:
                 pts = instance.points
-            picks.append(select(state, rff, pts, path_rng))
+            if not exact:
+                select = ts_select if kind == "ts" else pims_select
+                picks.append(select(state, features, pts, path_rng))
+            else:
+                path = sample_posterior_path(state, features, np.array(rows, dtype=int),
+                                             gp.cross_solve(state, pts), path_rng)
+                if kind == "pims":
+                    path = pims_scores(*gp.posterior_batch(state, pts), float(np.max(path)))
+                picks.append(int(np.argmax(path)))
+            rows.append(trace.selected_index[t])
             state = gp.incremental_update(state, x, y)
         return np.array(picks)
 
+    @pytest.mark.usefixtures("fresh_prior_cache")
     @pytest.mark.parametrize("kind", ["ts", "pims"])
-    @pytest.mark.parametrize("case", ["grid_design", "refit", "per_iteration"])
-    def test_engine_matches_standalone_sampler(self, kind, case):
+    @pytest.mark.parametrize("case", ["grid_design", "refit", "per_iteration", "above_cap"])
+    def test_engine_matches_standalone_sampler(self, kind, case, monkeypatch):
         if case == "per_iteration":
             # A continuous instance: the initial design and every
             # iteration's candidates are fresh uniform points.
             inst = ContinuousInstance(_objective, 2, 30, 0.0, 0.05)
         else:
             inst = random_instance(5, m=30)
+        if case == "above_cap":
+            # The 30-point Gram and factor no longer fit: random features.
+            monkeypatch.setattr(gp, "PRIOR_CACHE_BYTES", 30 * 30 * 8)
         refit = {}
         if case == "refit":
             refit = dict(refit_period=5, refit_grid=(se(2, ell=0.2), se(2, ell=0.4)))
@@ -335,9 +366,41 @@ class TestSamplePathRoute:
                         acquisition=AcquisitionSpec(kind, num_features=128), **refit)
         for seed in (3, 4):
             trace = run_bo(inst, cfg, seed)
+            exact = case in ("grid_design", "refit")
             np.testing.assert_array_equal(trace.selected_index,
-                                          self.replay(inst, cfg, trace, seed))
+                                          self.replay(inst, cfg, trace, seed, exact))
             assert len(set(trace.selected_index.tolist())) > 1
+
+    @pytest.mark.parametrize("kind", ["ts", "pims"])
+    @pytest.mark.parametrize("refit", [False, True], ids=["fixed", "refit"])
+    def test_cached_grid_draws_no_random_features(self, kind, refit, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("random features on a cached grid")
+
+        monkeypatch.setattr(engine, "build_rff", forbidden)
+        monkeypatch.setattr(engine, "rff_features", forbidden)
+        extra = dict(refit_period=4, refit_grid=(se(2, ell=0.2), se(2, ell=0.4))) if refit else {}
+        cfg = RunConfig(kernel=se(2), horizon=12, noise_variance=1e-3, initial_design=2,
+                        acquisition=AcquisitionSpec(kind), **extra)
+        trace = run_bo(random_instance(6, m=25), cfg, 1)
+        assert np.all((0 <= trace.selected_index) & (trace.selected_index < 25))
+
+    @pytest.mark.usefixtures("fresh_prior_cache")
+    @pytest.mark.parametrize("kind", ["ts", "pims"])
+    def test_trace_independent_of_prior_cache(self, kind):
+        # Cold, warm, and cold again after clearing: the same trace bytes.
+        inst = random_instance(7, m=25)
+        cfg = RunConfig(kernel=se(2), horizon=10, noise_variance=1e-3, initial_design=2,
+                        acquisition=AcquisitionSpec(kind), refit_period=5,
+                        refit_grid=(se(2, ell=0.2), se(2, ell=0.4)))
+        cold = run_bo(inst, cfg, 2)
+        warm = run_bo(inst, cfg, 2)
+        gp._PRIOR_CACHE.clear()
+        again = run_bo(inst, cfg, 2)
+        for other in (warm, again):
+            for name in ("selected_index", "observed_y", "mean_at_selection",
+                         "sd_at_selection", "cumulative_regret"):
+                np.testing.assert_array_equal(getattr(cold, name), getattr(other, name))
 
 
 def _nan_objective(x):
@@ -403,6 +466,23 @@ class TestRunReplications:
         traces = run_replications(sampler, cfg, 100, 13)
         firsts = np.array([t.selected_index[0] for t in traces])
         assert abs(firsts.mean() - 0.5) <= 0.15
+
+    @pytest.mark.parametrize("kind", ["ts", "pims"])
+    def test_sampled_rules_run_on_an_explicit_kernel(self, kind):
+        # An explicit covariance has no spectral density, so random
+        # features cannot draw its prior; the grid's cached factor can.
+        inst = FiniteInstance([[0.0], [1.0]], [0.0, 0.5], 0.1)
+        cfg = RunConfig(kernel=gp.ExplicitKernel(np.eye(2)), horizon=5, noise_variance=1e-2,
+                        acquisition=AcquisitionSpec(kind))
+        traces = run_replications(FixedInstanceSampler(inst), cfg, 100, 13)
+        assert len(traces) == 100
+        firsts = np.array([t.selected_index[0] for t in traces])
+        if kind == "ts":
+            # Two independent unit-variance points: an even split.
+            assert abs(firsts.mean() - 0.5) <= 0.15
+        else:
+            # Equal prior moments tie the improvement scores: lowest index.
+            assert np.all(firsts == 0)
 
     def test_failures_recorded_not_fatal(self):
         base = FixedInstanceSampler(random_instance(3))
