@@ -5,14 +5,18 @@ moments, and the posterior sample paths of Thompson sampling and PIMS,
 drawn by pathwise conditioning: a prior path corrected by an exact-kernel
 data update. On a fixed grid whose prior factor is cached the features are
 that factor, so the prior path, and with it the posterior path, is exact;
-elsewhere random Fourier features approximate the prior path. Ties always
-break toward the lowest candidate index so selections are reproducible.
+elsewhere random Fourier features approximate the prior path. Prior paths
+that share their features are drawn as one block (``draw_prior_paths``):
+the random numbers come in the order one path at a time would draw them,
+and the paths are one matrix product. Ties always break toward the lowest
+candidate index so selections are reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -97,8 +101,34 @@ def rff_features(rff: RffModel, X) -> np.ndarray:
     return out
 
 
-def sample_posterior_path(state: gp.GpState, features: np.ndarray,
-                          obs_rows: np.ndarray, V: np.ndarray, seed) -> np.ndarray:
+def draw_prior_paths(features: np.ndarray, n_obs: Sequence[int], noise_variance: float,
+                     seed) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Prior paths and noise draws of a block of paths sharing ``features``.
+
+    Path j draws z_j ~ N(0, I_M) and then eps_j ~ N(0, noise_variance I_n)
+    with n = ``n_obs[j]``, in the order of j, so a block yields the numbers
+    of its paths drawn one at a time. The prior paths phi z_j are the rows
+    of one matrix product; a block of one is a mat-vec.
+
+    Returns
+    -------
+    prior : ndarray, shape (len(n_obs), r)
+    eps : list of ndarray, shapes (n_obs[j],)
+    """
+    rng = as_generator(seed)
+    Z = np.empty((len(n_obs), features.shape[1]))
+    sd = math.sqrt(noise_variance)
+    eps = []
+    for j, n in enumerate(n_obs):
+        Z[j] = rng.standard_normal(features.shape[1])
+        eps.append(rng.standard_normal(n) * sd)
+    if len(Z) == 1:
+        return (features @ Z[0])[None, :], eps
+    return Z @ features.T, eps
+
+
+def sample_posterior_path(state: gp.GpState, prior: np.ndarray, obs_rows: np.ndarray,
+                          V: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Values at the candidates of one posterior sample path.
 
     Pathwise conditioning (Wilson et al. 2020, "Efficiently Sampling
@@ -107,35 +137,31 @@ def sample_posterior_path(state: gp.GpState, features: np.ndarray,
 
         f = f0(cand) + V^T L^-1 (y - f0(X) - eps),   V = L^-1 K(X, cand),
 
-    with w0 ~ N(0, I_M) drawn first and eps ~ N(0, sigma^2 I_n) second.
-    The update uses the exact kernel, so the path's mean is the exact
-    posterior mean. Its covariance is exact when phi phi^T is the prior
-    Gram over the rows: with a grid's Cholesky factor as phi (M = m), f0 is
-    an exact prior draw and f an exact posterior draw (Wilson et al. 2020,
-    section 3). With random Fourier features the prior path's covariance
-    carries the feature approximation. With no observations the path is
-    the prior path.
+    with w0 ~ N(0, I_M) and eps ~ N(0, sigma^2 I_n) from
+    ``draw_prior_paths``. The update uses the exact kernel, so the path's
+    mean is the exact posterior mean. Its covariance is exact when
+    phi phi^T is the prior Gram over the rows: with a grid's Cholesky
+    factor as phi (M = m), f0 is an exact prior draw and f an exact
+    posterior draw (Wilson et al. 2020, section 3). With random Fourier
+    features the prior path's covariance carries the feature
+    approximation. With no observations the path is the prior path.
 
     Parameters
     ----------
     state : GpState
         Observations X, y and the Cholesky factor L of K(X, X) + sigma^2 I.
-    features : ndarray, shape (r, M)
-        phi over a point set whose first m = V.shape[1] rows are the
-        candidates; the observed inputs are among its rows. A grid's prior
-        factor, or random Fourier features.
+    prior : ndarray, shape (r,)
+        The prior path phi w0 over a point set whose first m = V.shape[1]
+        rows are the candidates; the observed inputs are among its rows.
     obs_rows : ndarray of int, shape (n,)
-        Row of ``features`` for each observed input, in observation order.
+        Row of ``prior`` for each observed input, in observation order.
     V : ndarray, shape (n, m)
-    seed : int or numpy Generator
+    eps : ndarray, shape (n,)
+        The observation-noise draw.
     """
-    rng = as_generator(seed)
-    prior = features @ rng.standard_normal(features.shape[1])
     m = V.shape[1]
-    n = state.n_obs
-    if n == 0:
+    if state.n_obs == 0:
         return prior[:m]
-    eps = rng.standard_normal(n) * math.sqrt(state.noise_variance)
     resid = state.outputs - prior[obs_rows] - eps
     return prior[:m] + V.T @ solve_triangular(state.chol, resid, lower=True,
                                               check_finite=False)
@@ -154,12 +180,18 @@ def path_inputs(state: gp.GpState, rff: RffModel,
     return features, np.arange(m, m + n), gp.cross_solve(state, pts)
 
 
+def _fresh_path(state: gp.GpState, rff: RffModel, pts: np.ndarray, seed) -> np.ndarray:
+    features, rows, V = path_inputs(state, rff, pts)
+    prior, eps = draw_prior_paths(features, [state.n_obs], state.noise_variance, seed)
+    return sample_posterior_path(state, prior[0], rows, V, eps[0])
+
+
 def ts_select(state: gp.GpState, rff: RffModel, pts: np.ndarray, seed) -> int:
     """Argmax over ``pts`` of one random-feature posterior sample path.
 
     The engine replay tests' fresh-input reference: ``path_inputs`` rebuilds its inputs.
     """
-    return int(np.argmax(sample_posterior_path(state, *path_inputs(state, rff, pts), seed)))
+    return int(np.argmax(_fresh_path(state, rff, pts, seed)))
 
 
 def pims_select(state: gp.GpState, rff: RffModel, pts: np.ndarray, seed) -> int:
@@ -170,7 +202,7 @@ def pims_select(state: gp.GpState, rff: RffModel, pts: np.ndarray, seed) -> int:
     score 1 when mu clears the threshold and 0 otherwise. Like ``ts_select``,
     a fresh-input reference: ``path_inputs`` and ``posterior_batch`` rebuild it.
     """
-    f_star = float(np.max(sample_posterior_path(state, *path_inputs(state, rff, pts), seed)))
+    f_star = float(np.max(_fresh_path(state, rff, pts, seed)))
     mean, var = gp.posterior_batch(state, pts)
     return int(np.argmax(pims_scores(mean, var, f_star)))
 

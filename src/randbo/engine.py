@@ -25,7 +25,12 @@ corrected through the cached V and the state's Cholesky factor. A grid
 above the cache's size and a continuous instance take a random-Fourier-
 feature prior path instead, with ``AcquisitionSpec.num_features``
 features; on a continuous instance the iteration's V serves both the
-moments and the path.
+moments and the path. On a finite instance the features stay fixed from
+one refit to the next, so the prior paths of a block of iterations (up to
+the next refit, the horizon, or ``PATH_BLOCK`` iterations) are drawn at
+the block's start as one matrix product, from the ``PATHS`` substream in
+the order one iteration at a time would draw them; a continuous instance,
+whose features change every iteration, draws a block of one.
 
 ``run_replications`` draws each replication's instance first; on a fixed
 grid the synthetic sampler's draw is a mat-vec with the grid's cached prior
@@ -46,6 +51,7 @@ from . import gp
 from .acquisition import (
     RffModel,
     build_rff,
+    draw_prior_paths,
     expected_improvement,
     path_inputs,
     pims_scores,
@@ -67,6 +73,10 @@ from .rng import (
 )
 
 ACQUISITION_KINDS = ("ucb", "ei", "ts", "pims")
+
+# Most iterations whose prior paths are drawn as one block on a finite
+# instance, so the block's paths take O(m * PATH_BLOCK) memory.
+PATH_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -354,6 +364,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
     sampled = kind in ("ts", "pims")
     if sampled:
         rff, path_features = path_setup(kernel)
+    block_first = block_last = 0  # iterations whose prior paths are drawn
 
     cache = _MomentCache(state, instance.points, T + n_init + 1) if finite else None
 
@@ -406,7 +417,20 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 if finite:
                     obs_rows = np.concatenate([init_idx, sel_idx[: t - 1]])
                     path_in = (path_features, obs_rows, cache.V[: cache.n])
-                path = sample_posterior_path(state, *path_in, path_rng)
+                features, obs_rows, V = path_in
+                if t > block_last:
+                    block_first, block_last = t, t
+                    if finite:
+                        # The features hold until the next refit, at t = 1 + k p.
+                        block_last = min(T, t + PATH_BLOCK - 1)
+                        if config.refit_period is not None:
+                            p = config.refit_period
+                            block_last = min(block_last, ((t - 1) // p + 1) * p)
+                    prior, eps = draw_prior_paths(
+                        features, range(n_init + t - 1, n_init + block_last),
+                        state.noise_variance, path_rng)
+                j = t - block_first
+                path = sample_posterior_path(state, prior[j], obs_rows, V, eps[j])
                 if kind == "ts":
                     idx = int(np.argmax(path))
                 else:

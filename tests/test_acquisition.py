@@ -167,11 +167,18 @@ class TestBuildRff:
             acq.build_rff(gp.ExplicitKernel(np.eye(2)), 10, 0)
 
 
+def conditioned_paths(state, features, rows, V, count, seed):
+    """``count`` posterior paths from one block of prior draws, one row each."""
+    prior, eps = acq.draw_prior_paths(features, [state.n_obs] * count,
+                                      state.noise_variance, np.random.default_rng(seed))
+    return np.stack([acq.sample_posterior_path(state, p, rows, V, e)
+                     for p, e in zip(prior, eps)])
+
+
 def draw_paths(state, rff, pts, count, seed=0):
     """``count`` sample paths at ``pts`` from one generator, one row each."""
     inputs = acq.path_inputs(state, rff, np.asarray(pts, dtype=float))
-    rng = np.random.default_rng(seed)
-    return np.stack([acq.sample_posterior_path(state, *inputs, rng) for _ in range(count)])
+    return conditioned_paths(state, *inputs, count, seed)
 
 
 class TestSamplePosteriorPath:
@@ -265,10 +272,8 @@ class TestSamplePosteriorPath:
         state = gp.batch_state(kernel, pts[rows], [0.8, -0.5, 1.3], 1e-2)
         factor = gp.prior_data(kernel, pts, factor=True).factor
         V = gp.cross_solve(state, pts)
-        rng = np.random.default_rng(7)
         n = 20000
-        draws = np.stack([acq.sample_posterior_path(state, factor, rows, V, rng)
-                          for _ in range(n)])
+        draws = conditioned_paths(state, factor, rows, V, n, seed=7)
         mean, _ = gp.posterior_batch(state, pts)
         se = draws.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4.0 * se)

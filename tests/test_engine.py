@@ -1,5 +1,6 @@
 """Tests for the sequential optimization driver and replication runner."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from randbo import engine, gp
 from randbo.acquisition import (
     build_rff,
+    draw_prior_paths,
     pims_scores,
     pims_select,
+    rff_features,
     sample_posterior_path,
     ts_select,
 )
@@ -337,8 +340,10 @@ class TestSamplePathRoute:
                 select = ts_select if kind == "ts" else pims_select
                 picks.append(select(state, features, pts, path_rng))
             else:
-                path = sample_posterior_path(state, features, np.array(rows, dtype=int),
-                                             gp.cross_solve(state, pts), path_rng)
+                f0, eps = draw_prior_paths(features, [state.n_obs], state.noise_variance,
+                                           path_rng)
+                path = sample_posterior_path(state, f0[0], np.array(rows, dtype=int),
+                                             gp.cross_solve(state, pts), eps[0])
                 if kind == "pims":
                     path = pims_scores(*gp.posterior_batch(state, pts), float(np.max(path)))
                 picks.append(int(np.argmax(path)))
@@ -401,6 +406,93 @@ class TestSamplePathRoute:
             for name in ("selected_index", "observed_y", "mean_at_selection",
                          "sd_at_selection", "cumulative_regret"):
                 np.testing.assert_array_equal(getattr(cold, name), getattr(other, name))
+
+
+class TestBlockPathDraws:
+    """Prior paths drawn a block at a time against one iteration at a time.
+
+    Spies record each block the engine draws (its features and the
+    observation count of each iteration in it) and each path it conditions
+    (the prior path, the noise draw and the state's kernel). The reference
+    draws z_t and then eps_t for t = 1..T from the same PATHS substream,
+    with n_t = n_init + t - 1, and computes features_t @ z_t, where
+    ``reference(kernel, block_features)`` gives features_t.
+    """
+
+    @staticmethod
+    def run(inst, cfg, seed, monkeypatch, reference):
+        """(engine's prior path, reference) per iteration, the block sizes and the kernels."""
+        blocks, paths = [], []
+
+        def draw(features, n_obs, noise_variance, rng):
+            blocks.append((features, list(n_obs)))
+            return draw_prior_paths(features, n_obs, noise_variance, rng)
+
+        def condition(state, prior, obs_rows, V, eps):
+            paths.append((prior.copy(), eps.copy(), state.kernel))
+            return sample_posterior_path(state, prior, obs_rows, V, eps)
+
+        monkeypatch.setattr(engine, "draw_prior_paths", draw)
+        monkeypatch.setattr(engine, "sample_posterior_path", condition)
+        trace = run_bo(inst, cfg, seed)
+        n_init = trace.initial_x.shape[0]
+        features = [f for f, n_obs in blocks for _ in n_obs]
+        assert [n for _, n_obs in blocks for n in n_obs] == list(range(n_init, n_init + cfg.horizon))
+        assert len(features) == len(paths) == cfg.horizon
+        rng = substream(seed, 0, PATHS)
+        pairs = []
+        for t, ((prior, eps, kernel), feats) in enumerate(zip(paths, features)):
+            feats = reference(kernel, feats)
+            z = rng.standard_normal(feats.shape[1])
+            np.testing.assert_array_equal(
+                eps, rng.standard_normal(n_init + t) * math.sqrt(cfg.noise_variance))
+            pairs.append((prior, feats @ z))
+        return pairs, [len(n_obs) for _, n_obs in blocks], [k for _, _, k in paths]
+
+    @pytest.mark.usefixtures("fresh_prior_cache")
+    @pytest.mark.parametrize("kind", ["ts", "pims"])
+    @pytest.mark.parametrize("case", ["refit", "cap", "above_cap"])
+    def test_grid_blocks_equal_per_iteration_draws(self, kind, case, monkeypatch):
+        inst, seed = random_instance(5, m=30), 5
+        extra, design, sizes = {}, 3, [10]
+        if case == "refit":
+            # Refits at t = 1, 4, 7, 10 end the blocks; the kernel changes at t = 4.
+            extra = dict(refit_period=3,
+                         refit_grid=(se(2, ell=0.2), se(2, ell=0.4), se(2, ell=0.8)))
+            sizes = [3, 3, 3, 1]
+        elif case == "cap":
+            monkeypatch.setattr(engine, "PATH_BLOCK", 4)
+            design, sizes = 0, [4, 4, 2]
+        cfg = RunConfig(kernel=se(2), horizon=10, noise_variance=1e-3, initial_design=design,
+                        acquisition=AcquisitionSpec(kind, num_features=128), **extra)
+        if case == "above_cap":
+            # The 30-point Gram and factor no longer fit: random features.
+            monkeypatch.setattr(gp, "PRIOR_CACHE_BYTES", 30 * 30 * 8)
+            phi = rff_features(build_rff(cfg.kernel, 128, substream(seed, 0, FEATURES)),
+                               inst.points)
+
+        def reference(kernel, _):
+            if case == "above_cap":
+                return phi
+            return gp.prior_data(kernel, inst.points, factor=True).factor
+
+        pairs, block_sizes, kernels = self.run(inst, cfg, seed, monkeypatch, reference)
+        for prior, expected in pairs:
+            np.testing.assert_allclose(prior, expected, rtol=0, atol=1e-12)
+        assert block_sizes == sizes
+        if case == "refit":
+            assert kernels[2].lengthscales[0] != kernels[3].lengthscales[0]
+
+    @pytest.mark.parametrize("kind", ["ts", "pims"])
+    def test_continuous_instance_draws_one_path_per_block(self, kind, monkeypatch):
+        inst = ContinuousInstance(_objective, 2, 30, 0.0, 0.05)
+        cfg = RunConfig(kernel=se(2), horizon=6, noise_variance=1e-3, initial_design=2,
+                        acquisition=AcquisitionSpec(kind, num_features=64))
+        pairs, block_sizes, _ = self.run(inst, cfg, 4, monkeypatch,
+                                         lambda kernel, features: features)
+        for prior, expected in pairs:
+            np.testing.assert_array_equal(prior, expected)
+        assert block_sizes == [1] * 6
 
 
 def _nan_objective(x):
