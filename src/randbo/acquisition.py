@@ -2,14 +2,14 @@
 
 UCB, expected-improvement and improvement-probability scores of posterior
 moments, and the posterior sample paths of Thompson sampling and PIMS,
-drawn by pathwise conditioning: a prior path corrected by an exact-kernel
-data update. On a fixed grid whose prior factor is cached the features are
-that factor, so the prior path, and with it the posterior path, is exact;
-elsewhere random Fourier features approximate the prior path. Prior paths
-that share their features are drawn as one block (``draw_prior_paths``):
-the random numbers come in the order one path at a time would draw them,
-and the paths are one matrix product. Ties always break toward the lowest
-candidate index so selections are reproducible.
+drawn by pathwise conditioning: a prior path, with features and V from the
+engine's posterior model, corrected by an exact-kernel data update. A
+cached grid factor as the features makes the prior path, and with it the
+posterior path, exact; elsewhere random Fourier features approximate the
+prior path. Prior paths sharing their features are drawn as one block
+(``draw_prior_paths``), one matrix product, with the random numbers in the
+order one path at a time would draw them. Ties always break toward the
+lowest candidate index so selections are reproducible.
 """
 
 from __future__ import annotations
@@ -165,46 +165,6 @@ def sample_posterior_path(state: gp.GpState, prior: np.ndarray, obs_rows: np.nda
     resid = state.outputs - prior[obs_rows] - eps
     return prior[:m] + V.T @ solve_triangular(state.chol, resid, lower=True,
                                               check_finite=False)
-
-
-def path_inputs(state: gp.GpState, rff: RffModel,
-                pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``sample_posterior_path`` inputs for arbitrary candidate points.
-
-    Features of the candidates stacked over the observed inputs, the rows of
-    the latter, and V = L^-1 K(X, pts). Callers holding these for a fixed
-    grid pass them directly instead.
-    """
-    m, n = pts.shape[0], state.n_obs
-    features = rff_features(rff, np.vstack([pts, state.inputs]))
-    return features, np.arange(m, m + n), gp.cross_solve(state, pts)
-
-
-def _fresh_path(state: gp.GpState, rff: RffModel, pts: np.ndarray, seed) -> np.ndarray:
-    features, rows, V = path_inputs(state, rff, pts)
-    prior, eps = draw_prior_paths(features, [state.n_obs], state.noise_variance, seed)
-    return sample_posterior_path(state, prior[0], rows, V, eps[0])
-
-
-def ts_select(state: gp.GpState, rff: RffModel, pts: np.ndarray, seed) -> int:
-    """Argmax over ``pts`` of one random-feature posterior sample path.
-
-    The engine replay tests' fresh-input reference: ``path_inputs`` rebuilds its inputs.
-    """
-    return int(np.argmax(_fresh_path(state, rff, pts, seed)))
-
-
-def pims_select(state: gp.GpState, rff: RffModel, pts: np.ndarray, seed) -> int:
-    """Probability-of-improvement selection thresholded at a sampled path's max.
-
-    Draws one path, takes its maximum over ``pts`` as the improvement
-    threshold, then maximizes Phi((mu - threshold)/sd). Zero-variance points
-    score 1 when mu clears the threshold and 0 otherwise. Like ``ts_select``,
-    a fresh-input reference: ``path_inputs`` and ``posterior_batch`` rebuild it.
-    """
-    f_star = float(np.max(_fresh_path(state, rff, pts, seed)))
-    mean, var = gp.posterior_batch(state, pts)
-    return int(np.argmax(pims_scores(mean, var, f_star)))
 
 
 def pims_scores(mean: np.ndarray, var: np.ndarray, f_star: float) -> np.ndarray:

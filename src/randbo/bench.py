@@ -262,6 +262,9 @@ def ingest_tabular(path, objective_column: str) -> tuple[TabularDataset, FiniteI
                 raise IngestionError(
                     f"{path}: line {i}, column {header[j]!r}: non-numeric value {cell.strip()!r}"
                 )
+            if j != obj_pos and not math.isfinite(values[-1]):
+                raise IngestionError(f"{path}: line {i}, column {header[j]!r}: "
+                                     f"non-finite feature {cell.strip()!r}")
         parsed.append(values)
     if missing:
         raise IngestionError(f"{path}: missing values on lines {missing}")

