@@ -3,18 +3,20 @@
 Commands:
 
 * ``randbo run CONFIG [--out DIR] [--seed N] [--reps N] [--jobs N]
-  [--overwrite]`` parses a config, executes the experiment, and writes
-  trace CSVs, summary CSVs, bound-report JSON where applicable, and a
-  manifest that (with the config and seed) determines every output byte.
+  [--overwrite]`` parses a config, applies the flags as config keys checked
+  like the file's, runs the experiment, and writes trace and summary CSVs,
+  bound-report JSON where applicable, the resolved ``config.txt``, and a
+  manifest; config and seed determine every output byte.
 * ``randbo check {lemma42, counterexample, bounds} [--quick]`` runs the
   built-in verification suites and exits 4 when a check fails.
 * ``randbo profile-confidence CONFIG [--out DIR]`` tabulates each
   configured schedule's analytic mean and 2.5%/97.5% quantiles per
   iteration.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error,
-4 verification-check failure. The environment variable RANDBO_OUTPUT_ROOT
-sets the default output root (default ``runs``).
+Every CSV is written by ``_write_csv``, which formats each column once from
+its dtype, and every JSON file by ``_write_json``. Exit codes: 0 success,
+2 configuration error, 3 numerical error, 4 verification-check failure.
+RANDBO_OUTPUT_ROOT sets the default output root (default ``runs``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, bench, confidence, gp
-from .config import ExperimentConfig, parse_config, parse_text, serialize_config
+from .config import ExperimentConfig, override, parse_config, parse_text, serialize_config
 from .engine import (
     AcquisitionSpec,
     ContinuousInstance,
@@ -48,65 +50,62 @@ _ZETA_SEQUENCES = 100
 _LEMMA_SWEEP = 101
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _cells(column) -> list[str]:
+    """One column's cells, formatted once by dtype: floats by ``repr`` (so they
+    round-trip), integers plain, bools ``true``/``false``, text as it is."""
+    a = np.asarray(column)
+    if a.dtype.kind == "b":
+        return ["true" if v else "false" for v in a.tolist()]
+    return list(map(repr if a.dtype.kind == "f" else str, a.tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """A header line, then each block's rows; a block is a list of
+    equal-length columns, so a long table is written a block at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+        for columns in blocks:
+            fh.writelines(f"{row}\n" for row in map(",".join, zip(*map(_cells, columns))))
 
 
 def write_trace_csv(path: Path, traces) -> None:
-    """All replications' per-iteration records in one file."""
+    """All replications' per-iteration records in one file, written one
+    replication at a time."""
     dim = traces[0].selected_x.shape[1]
     header = (["rep", "t", "selected_index"] + [f"x{j}" for j in range(dim)]
               + ["zeta", "y", "mu", "sigma", "r_t", "R_t"])
-
-    def rows():
-        for rep, tr in enumerate(traces):
-            for i in range(tr.horizon):
-                yield ([rep, i + 1, int(tr.selected_index[i])]
-                       + list(tr.selected_x[i])
-                       + [tr.zeta_value[i], tr.observed_y[i], tr.mean_at_selection[i],
-                          tr.sd_at_selection[i], tr.instantaneous_regret[i],
-                          tr.cumulative_regret[i]])
-
-    _write_csv(path, header, rows())
+    blocks = (
+        [np.full(tr.horizon, rep), np.arange(1, tr.horizon + 1), tr.selected_index,
+         *tr.selected_x.T, tr.zeta_value, tr.observed_y, tr.mean_at_selection,
+         tr.sd_at_selection, tr.instantaneous_regret, tr.cumulative_regret]
+        for rep, tr in enumerate(traces)
+    )
+    _write_csv(path, header, blocks)
 
 
 def write_summary_csv(path: Path, summary: analysis.RegretSummary) -> None:
-    header = ["t", "mean_Rt", "stderr_Rt", "mean_simple", "stderr_simple"]
-
-    def rows():
-        for i in range(summary.horizon):
-            yield [i + 1, summary.mean_cumulative_curve[i],
-                   summary.stderr_cumulative_curve[i],
-                   summary.mean_simple_curve[i], summary.stderr_simple_curve[i]]
-
-    _write_csv(path, header, rows())
+    _write_csv(path, ["t", "mean_Rt", "stderr_Rt", "mean_simple", "stderr_simple"],
+               [[np.arange(1, summary.horizon + 1), summary.mean_cumulative_curve,
+                 summary.stderr_cumulative_curve, summary.mean_simple_curve,
+                 summary.stderr_simple_curve]])
 
 
-def write_bounds_json(path: Path, reports: list[analysis.BoundReport]) -> None:
-    payload = [dataclasses.asdict(r) for r in reports]
+def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def write_bounds_json(path: Path, reports: list[analysis.BoundReport]) -> None:
+    _write_json(path, [dataclasses.asdict(r) for r in reports])
+
+
 def write_manifest(path: Path, config: ExperimentConfig, outputs: list[str]) -> None:
-    manifest = {
+    _write_json(path, {
         "version": __version__,
         "kind": config.kind,
         "base_seed": config.base_seed,
         "config": {k: v for k, v in sorted(config.values.items()) if v is not None},
         "outputs": sorted(outputs),
-    }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,7 @@ def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], in
 
 def _run_counterexample(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     sampler, _, _ = _domain(config)
-    horizons = sorted(int(h) for h in config["counterexample.horizons"])
+    horizons = sorted(config["counterexample.horizons"])
     if len(horizons) < 2:
         raise ConfigurationError("counterexample.horizons needs two horizons")
     t_short, t_long = horizons[0], horizons[-1]
@@ -370,15 +369,13 @@ def _run_counterexample(config: ExperimentConfig, out: Path) -> tuple[list[str],
     outputs.append(fname)
     verdicts.append(verdict)
 
-    (out / "slope_verdicts.json").write_text(
-        json.dumps(verdicts, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "slope_verdicts.json", verdicts)
     outputs.append("slope_verdicts.json")
     return outputs, 0
 
 
 def _run_lemma_check(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     rows = []
-    all_hold = True
     families = ("squared_exponential", "matern52")
     for i in range(config["lemma.n_configs"]):
         rng = substream(config.base_seed, _LEMMA_SWEEP, i)
@@ -398,16 +395,15 @@ def _run_lemma_check(config: ExperimentConfig, out: Path) -> tuple[list[str], in
         check = analysis.validate_optimum_bound(
             kernel, points, dataset, config.noise_variance,
             config["lemma.n_mc"], rng)
-        holds = check.holds()
-        all_hold &= holds
-        rows.append([i, m, n_data, family, dim, check.lhs, check.lhs_stderr,
-                     check.rhs, check.rhs_stderr, "true" if holds else "false"])
+        rows.append((i, m, n_data, family, dim, check.lhs, check.lhs_stderr,
+                     check.rhs, check.rhs_stderr, check.holds()))
 
+    columns = list(zip(*rows))
     _write_csv(out / "lemma_check.csv",
                ["config_id", "domain_size", "n_data", "family", "dim",
                 "lhs", "lhs_stderr", "rhs", "rhs_stderr", "holds"],
-               rows)
-    return ["lemma_check.csv"], 0 if all_hold else CHECK_FAILED
+               [columns])
+    return ["lemma_check.csv"], 0 if all(columns[-1]) else CHECK_FAILED
 
 
 def _run_bound_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
@@ -417,7 +413,7 @@ def _run_bound_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], in
     s2 = config.noise_variance
     a, b, r = config["bounds.a"], config["bounds.b"], config["bounds.r"]
     d = config["bounds.dim"]
-    for T in (int(t) for t in config["bounds.horizons"]):
+    for T in config["bounds.horizons"]:
         for delta in (float(x) for x in config["bounds.deltas"]):
             inputs = {"T": T, "delta": delta, "domain_size": m, "gamma": gamma,
                       "noise_variance": s2}
@@ -489,7 +485,7 @@ def _profile_outputs(config: ExperimentConfig, out: Path) -> list[str]:
     if not labeled:
         raise ConfigurationError("no UCB schedules among the configured algorithms")
     header, rows = emit_confidence_profile(labeled, config.horizon)
-    _write_csv(out / "confidence_profile.csv", header, rows)
+    _write_csv(out / "confidence_profile.csv", header, [list(zip(*rows))])
     return ["confidence_profile.csv"]
 
 
@@ -626,19 +622,6 @@ def _resolve_out_dir(config: ExperimentConfig | None, out_flag: str | None,
     return out
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    values = dict(config.values)
-    if args.seed is not None:
-        values["base_seed"] = args.seed
-    if args.reps is not None:
-        values["n_reps"] = args.reps
-    if args.jobs is not None:
-        values["n_jobs"] = args.jobs
-    if args.overwrite:
-        values["overwrite"] = True
-    return ExperimentConfig(kind=config.kind, values=values)
-
-
 def run_experiment(config: ExperimentConfig, out_dir) -> int:
     """Execute one experiment into ``out_dir``; returns the exit status."""
     out = Path(out_dir)
@@ -678,7 +661,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            config = _apply_overrides(parse_config(args.config), args)
+            config = override(parse_config(args.config), base_seed=args.seed,
+                              n_reps=args.reps, n_jobs=args.jobs,
+                              overwrite=args.overwrite or None)
             out = _resolve_out_dir(config, args.out, args.config.stem)
             status = run_experiment(config, out)
             print(f"wrote {out} (exit {status})")
@@ -688,11 +673,7 @@ def main(argv=None) -> int:
                                    force_overwrite=True)
             status = CHECKS[args.suite](out, args.quick)
             return status
-        config = parse_config(args.config)
-        if args.overwrite:
-            values = dict(config.values)
-            values["overwrite"] = True
-            config = ExperimentConfig(kind=config.kind, values=values)
+        config = override(parse_config(args.config), overwrite=args.overwrite or None)
         out = _resolve_out_dir(config, args.out, f"profile_{args.config.stem}")
         outputs = _profile_outputs(config, out)
         write_manifest(out / "manifest.json", config, outputs)

@@ -2,7 +2,8 @@
 
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines ignored. Values are integers, reals, booleans (true/false), bare
-strings, or comma-separated lists of those. Unknown keys are rejected with
+strings, or comma-separated lists of reals, of integers or of names, each
+entry checked and kept as written. Unknown keys are rejected with
 a nearest-match suggestion; validation reports every problem at once, not
 just the first.
 """
@@ -63,42 +64,45 @@ def _render_scalar(value) -> str:
     return str(value)
 
 
+# Each scalar kind: the test a value must pass, and its name in messages.
+_SCALAR = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "integer"),
+    "real": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "real number"),
+    "bool": (lambda v: isinstance(v, bool), "true/false"),
+    "str": (lambda v: isinstance(v, str), "name"),
+}
+# The list kinds and the scalar kind of their entries.
+_ENTRY_KIND = {"ints": "int", "reals": "real", "names": "str"}
+
+
 @dataclass(frozen=True)
 class _Key:
     """One schema entry: how to coerce, check, and default a config key."""
 
     name: str
-    kind: str  # int | real | bool | str | list
+    kind: str  # int | real | bool | str | ints | reals | names
     default: object = None
     choices: tuple | None = None
     minimum: float | None = None
     exclusive_max: float | None = None
 
     def coerce(self, value, errors: list[str]):
-        def scalar(v):
-            if self.kind == "int":
-                if isinstance(v, bool) or not isinstance(v, int):
-                    errors.append(f"{self.name}: expected integer, got {v!r}")
-                    return None
-                return v
-            if self.kind == "real":
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    errors.append(f"{self.name}: expected real number, got {v!r}")
-                    return None
-                return float(v)
-            if self.kind == "bool":
-                if not isinstance(v, bool):
-                    errors.append(f"{self.name}: expected true/false, got {v!r}")
-                    return None
-                return v
-            return str(v)
-
-        if self.kind == "list":
+        if self.kind in _ENTRY_KIND:
+            # List entries are checked, never converted: ``0.5, 1, 2`` keeps
+            # its ``1`` in labels and in the serialized config.
+            fits, expected = _SCALAR[_ENTRY_KIND[self.kind]]
             items = value if isinstance(value, list) else [value]
-            return [_parse_scalar(str(i)) if isinstance(i, str) else i for i in items]
-        out = scalar(value)
-        if out is None:
+            bad = [v for v in items if not fits(v)]
+            errors += [f"{self.name}: expected {expected}, got {v!r}" for v in bad]
+            return None if bad else items
+        fits, expected = _SCALAR[self.kind]
+        if self.kind == "str":
+            out = str(value)
+        elif not fits(value):
+            errors.append(f"{self.name}: expected {expected}, got {value!r}")
             return None
+        else:
+            out = float(value) if self.kind == "real" else value
         if self.choices is not None and out not in self.choices:
             errors.append(f"{self.name}: {out!r} is not one of {sorted(self.choices)}")
             return None
@@ -125,13 +129,13 @@ SCHEMA: dict[str, _Key] = {
         _Key("noise_stddev", "real", default=None, minimum=0.0),
         _Key("kernel.family", "str", default="squared_exponential",
              choices=("squared_exponential", "matern52", "matern32")),
-        _Key("kernel.lengthscale", "list", default=[0.1]),
+        _Key("kernel.lengthscale", "reals", default=[0.1]),
         _Key("kernel.signal_variance", "real", default=1.0),
         _Key("grid.low", "real", default=0.0),
         _Key("grid.high", "real", default=0.9),
         _Key("grid.count", "int", default=10, minimum=1),
         _Key("grid.dim", "int", default=3, minimum=1),
-        _Key("algorithms", "list", default=["irgp_ucb"]),
+        _Key("algorithms", "names", default=["irgp_ucb"]),
         _Key("acquisition.num_features", "int", default=2000, minimum=1),
         _Key("candidates.count", "int", default=2000, minimum=1),
         _Key("initial.count", "int", default=1, minimum=0),
@@ -143,24 +147,24 @@ SCHEMA: dict[str, _Key] = {
         _Key("irgp_ucb_continuous.b", "real", default=None),
         _Key("irgp_ucb_continuous.r", "real", default=1.0),
         _Key("refit.period", "int", default=None, minimum=1),
-        _Key("refit.lengthscales", "list", default=None),
-        _Key("refit.signal_variances", "list", default=[1.0]),
+        _Key("refit.lengthscales", "reals", default=None),
+        _Key("refit.signal_variances", "reals", default=[1.0]),
         _Key("benchmark.name", "str", default=None,
              choices=("holder_table", "cross_in_tray", "ackley")),
         _Key("benchmark.dim", "int", default=None, minimum=1),
         _Key("tabular.path", "str", default=None),
         _Key("tabular.objective", "str", default=None),
         _Key("counterexample.rho", "real", default=0.0),
-        _Key("counterexample.constants", "list", default=[0.5, 1.0, 2.0]),
-        _Key("counterexample.horizons", "list", default=[250, 1000]),
+        _Key("counterexample.constants", "reals", default=[0.5, 1.0, 2.0]),
+        _Key("counterexample.horizons", "ints", default=[250, 1000]),
         _Key("conditional.n_sequences", "int", default=1, minimum=1),
         _Key("conditional.delta", "real", default=0.1, minimum=0.0, exclusive_max=1.0),
         _Key("lemma.n_configs", "int", default=50, minimum=1),
         _Key("lemma.n_mc", "int", default=100000, minimum=100),
         _Key("lemma.max_grid", "int", default=50, minimum=2),
         _Key("lemma.max_data", "int", default=20, minimum=0),
-        _Key("bounds.horizons", "list", default=[100, 200, 400]),
-        _Key("bounds.deltas", "list", default=[0.05, 0.1, 0.2]),
+        _Key("bounds.horizons", "ints", default=[100, 200, 400]),
+        _Key("bounds.deltas", "reals", default=[0.05, 0.1, 0.2]),
         _Key("bounds.domain_size", "int", default=1000, minimum=2),
         _Key("bounds.gamma", "real", default=10.0, minimum=0.0),
         _Key("bounds.a", "real", default=2.0),
@@ -205,7 +209,7 @@ class ExperimentConfig:
 
     @property
     def algorithms(self) -> list[str]:
-        return [str(a) for a in self.values["algorithms"]]
+        return list(self.values["algorithms"])
 
     @property
     def noise_variance(self) -> float:
@@ -271,20 +275,34 @@ def parse_text(text: str, source: str = "<config>") -> ExperimentConfig:
                 errors.append(f"{req}: required for kind {values['kind']!r}")
 
     for alg in values.get("algorithms", []):
-        if str(alg) not in ALGORITHMS:
-            hint = difflib.get_close_matches(str(alg), ALGORITHMS, n=1)
+        if alg not in ALGORITHMS:
+            hint = difflib.get_close_matches(alg, ALGORITHMS, n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             errors.append(f"algorithms: unknown algorithm {alg!r}{suggestion}")
-        if str(alg) == "irgp_ucb_continuous":
+        if alg == "irgp_ucb_continuous":
             for p in ("irgp_ucb_continuous.a", "irgp_ucb_continuous.b"):
                 if values.get(p) is None:
                     errors.append(f"{p}: required by the continuous-domain schedule")
 
-    if errors:
-        raise ConfigurationError(
-            "invalid configuration:\n  " + "\n  ".join(sorted(errors))
-        )
+    _raise_on(errors)
     return ExperimentConfig(kind=values["kind"], values=values)
+
+
+def _raise_on(errors: list[str]) -> None:
+    if errors:
+        raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(sorted(errors)))
+
+
+def override(config: ExperimentConfig, **values) -> ExperimentConfig:
+    """The config with the given keys replaced, each value checked by its
+    schema entry as a file's would be; a value of None leaves its key."""
+    errors: list[str] = []
+    merged = dict(config.values)
+    for key, value in values.items():
+        if value is not None:
+            merged[key] = SCHEMA[key].coerce(value, errors)
+    _raise_on(errors)
+    return ExperimentConfig(kind=config.kind, values=merged)
 
 
 def parse_config(path) -> ExperimentConfig:

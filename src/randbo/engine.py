@@ -301,8 +301,7 @@ class _GridModel(_Model):
                 pts)
             self.block_last = 0
         self.gram = None if prior is None else prior.gram
-        self.prior = (gp.kernel_diag(state.kernel, pts) if prior is None
-                      else np.diagonal(prior.gram))
+        self.prior = gp.kernel_diag(state.kernel, pts)
         V0 = gp.cross_solve(state, pts)
         self.V[:n] = V0  # moments from V0 itself: its memory order fixes the rounding
         self.mean = V0.T @ state.half_targets
@@ -432,7 +431,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                     state.inputs, state.outputs, list(config.refit_grid),
                     config.noise_variance,
                 )
-                state = gp.batch_state(kernel, state.inputs.copy(), state.outputs.copy(),
+                state = gp.batch_state(kernel, state.inputs, state.outputs,
                                        config.noise_variance)
                 model.refit(state)
 

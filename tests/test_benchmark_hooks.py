@@ -9,6 +9,7 @@ without any error, so these tests pin the names.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,15 @@ def test_traced_names_resolve():
     for owners, attr, name, _ in tracing.TARGETS:
         for owner in owners:
             assert callable(getattr(owner, attr, None)), f"{name}: {owner!r} has no {attr}"
+
+
+@pytest.mark.parametrize("name", ["write_trace_csv", "write_summary_csv",
+                                  "write_bounds_json", "write_manifest"])
+def test_wrapped_writers_take_the_path_first(name):
+    # The tracer counts a trace file's bytes with os.path.getsize(args[0]).
+    first = next(iter(inspect.signature(getattr(cli, name)).parameters.values()))
+    assert first.name == "path"
+    assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 def test_study_hooks_exist():

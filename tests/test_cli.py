@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randbo import cli
+from randbo import analysis, cli
 from randbo.config import parse_config, parse_text, serialize_config
+from randbo.engine import BoTrace
 from randbo.errors import ConfigurationError
 
 MINIMAL_SYNTHETIC = """
@@ -90,6 +91,36 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError) as err:
             parse_text("kind = synthetic_bcr\nhorizon = 5\nhorizon = 6\n")
         assert "duplicate" in str(err.value)
+
+    @pytest.mark.parametrize("line, entry", [
+        ("kernel.lengthscale = abc", "'abc'"),
+        ("bounds.deltas = 0.1, zz", "'zz'"),
+        ("counterexample.horizons = 250, x", "'x'"),
+        ("counterexample.horizons = 10.7, 20", "10.7"),
+        ("bounds.horizons = 100, 200.5", "200.5"),
+        ("algorithms = ei, 3", "3"),
+    ], ids=["reals", "reals_second_entry", "ints_name", "ints_fraction", "ints_fraction_bounds",
+            "names"])
+    def test_list_entries_checked(self, line, entry):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigurationError) as err:
+            parse_text(f"kind = bound_sweep\n{line}\n")
+        assert f"{key}: expected " in str(err.value) and f"got {entry}" in str(err.value)
+
+    def test_bad_list_entries_reported_with_every_other_error(self):
+        with pytest.raises(ConfigurationError) as err:
+            parse_text("kind = counterexample\nhorizon = 0\ncounterexample.horizons = 10.7, 20\n"
+                       "counterexample.constants = 1, c\nalgorithms = 2\n")
+        msg = str(err.value)
+        for key in ("horizon:", "counterexample.horizons:", "counterexample.constants:",
+                    "algorithms:"):
+            assert key in msg, key
+
+    def test_list_entries_kept_as_written(self):
+        cfg = parse_text("kind = counterexample\ncounterexample.constants = 0.5, 1, 2\n")
+        assert cfg["counterexample.constants"] == [0.5, 1, 2]
+        assert [type(c) for c in cfg["counterexample.constants"]] == [float, int, int]
+        assert "counterexample.constants = 0.5, 1, 2\n" in serialize_config(cfg)
 
 
 class TestBuiltinCheckConfigs:
@@ -372,6 +403,28 @@ class TestMainEntry:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "none.txt")]) == 2
 
+    @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--jobs", "-2"], ["--reps", "0"]],
+                             ids=["jobs_0", "jobs_negative", "reps_0"])
+    def test_override_checked_like_the_file(self, tmp_path, capsys, flag):
+        cfg_file = tmp_path / "exp.txt"
+        cfg_file.write_text(MINIMAL_SYNTHETIC, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_file), "--out", str(out), *flag]) == 2
+        assert "below the minimum 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_of_overridden_run_parses_back(self, tmp_path):
+        cfg_file = tmp_path / "exp.txt"
+        cfg_file.write_text(MINIMAL_SYNTHETIC, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_file), "--out", str(out), "--seed", "7",
+                         "--reps", "2", "--jobs", "2"]) == 0
+        expected = {**parse_text(MINIMAL_SYNTHETIC).values,
+                    "base_seed": 7, "n_reps": 2, "n_jobs": 2}
+        assert parse_config(out / "config.txt").values == expected
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {k: v for k, v in expected.items() if v is not None}
+
     def test_profile_command(self, tmp_path):
         cfg_file = tmp_path / "exp.txt"
         cfg_file.write_text(MINIMAL_SYNTHETIC.replace(
@@ -436,3 +489,115 @@ class TestEnvironment:
         ta = (a / "traces_irgp_ucb.csv").read_text()
         tb = (b / "traces_irgp_ucb.csv").read_text()
         assert ta != tb
+
+
+def reference_cell(value) -> str:
+    """One cell by the rules of the row-at-a-time writer that the column
+    writer replaced: bools true/false, integers plain, text as it is, and
+    everything else ``repr(float(value))``."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return repr(float(value))
+
+
+def reference_csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(map(reference_cell, row)) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+SPECIAL = np.array([np.nan, -0.0, np.inf, -np.inf, 1e-5, 1e20, 0.1, -3.0, 123456789.0,
+                    2.5e-300])
+
+
+def special_trace(rng, horizon, dim) -> BoTrace:
+    def column():
+        return np.where(rng.random(horizon) < 0.5, rng.choice(SPECIAL, horizon),
+                        rng.normal(size=horizon) * 10.0 ** rng.integers(-6, 21, horizon))
+
+    regret = column()
+    return BoTrace(
+        horizon=horizon,
+        selected_index=rng.integers(0, 1000, horizon),
+        selected_x=np.column_stack([column() for _ in range(dim)]),
+        zeta_value=np.where(rng.random(horizon) < 0.3, np.nan, column()),
+        observed_y=column(), mean_at_selection=column(), sd_at_selection=column(),
+        instantaneous_regret=regret, cumulative_regret=np.cumsum(regret),
+        initial_x=np.empty((0, dim)), initial_y=np.empty(0), initial_indices=None,
+        optimum_value=0.0)
+
+
+class TestWriterBytes:
+    """Every table's bytes against the reference cell rules above."""
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_trace_csv(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
+        traces = [special_trace(rng, horizon, dim) for horizon in (7, 1, 12)]
+        cli.write_trace_csv(tmp_path / "t.csv", traces)
+        header = (["rep", "t", "selected_index"] + [f"x{j}" for j in range(dim)]
+                  + ["zeta", "y", "mu", "sigma", "r_t", "R_t"])
+        rows = [[rep, i + 1, tr.selected_index[i], *tr.selected_x[i], tr.zeta_value[i],
+                 tr.observed_y[i], tr.mean_at_selection[i], tr.sd_at_selection[i],
+                 tr.instantaneous_regret[i], tr.cumulative_regret[i]]
+                for rep, tr in enumerate(traces) for i in range(tr.horizon)]
+        written = (tmp_path / "t.csv").read_bytes()
+        assert written == reference_csv(header, rows)
+        for token in (b",nan,", b",-0.0,", b",inf,", b",-inf,", b",1e-05,", b",1e+20,"):
+            assert token in written, token
+
+    def test_summary_csv(self, tmp_path):
+        rng = np.random.default_rng(5)
+        curves = [rng.choice(SPECIAL, 9) for _ in range(5)]
+        summary = analysis.RegretSummary(9, 3, *curves)
+        cli.write_summary_csv(tmp_path / "s.csv", summary)
+        rows = [[i + 1, *(c[i] for c in curves[:4])] for i in range(9)]
+        assert (tmp_path / "s.csv").read_bytes() == reference_csv(
+            ["t", "mean_Rt", "stderr_Rt", "mean_simple", "stderr_simple"], rows)
+
+    def test_lemma_check_csv_with_a_false_row(self, tmp_path, monkeypatch, capsys):
+        sides = [(0.5, 1e-5, 1.0, 0.0), (2.0, 1e-5, 1e20, -0.0), (3.0, 0.1, 1.0, 0.1)]
+        rows = []
+
+        def fake(kernel, points, dataset, noise_variance, n_mc, rng):
+            check = analysis.InequalityCheck(*sides[len(rows)], n_mc=n_mc)
+            n_data = 0 if dataset is None else len(dataset[0])
+            rows.append([len(rows), points.shape[0], n_data, kernel.family, points.shape[1],
+                         check.lhs, check.lhs_stderr, check.rhs, check.rhs_stderr,
+                         check.holds()])
+            return check
+
+        monkeypatch.setattr(cli.analysis, "validate_optimum_bound", fake)
+        out = tmp_path / "lemma"
+        text = ("kind = lemma_check\nlemma.n_configs = 3\nlemma.n_mc = 100\n"
+                "noise_variance = 0.01\nnoise_stddev = 0.1\n")
+        assert cli.run_experiment(parse_text(text), out) == cli.CHECK_FAILED
+        assert [r[-1] for r in rows] == [True, True, False]
+        header = ["config_id", "domain_size", "n_data", "family", "dim",
+                  "lhs", "lhs_stderr", "rhs", "rhs_stderr", "holds"]
+        written = (out / "lemma_check.csv").read_bytes()
+        assert written == reference_csv(header, rows)
+        assert written.endswith(b",false\n")
+
+    def test_confidence_profile_csv(self, tmp_path):
+        text = MINIMAL_SYNTHETIC.replace(
+            "algorithms = irgp_ucb",
+            "algorithms = gp_ucb, rgp_ucb, irgp_ucb, irgp_ucb_heuristic, constant_ucb, ei")
+        cfg_file = tmp_path / "exp.txt"
+        cfg_file.write_text(text, encoding="utf-8")
+        out = tmp_path / "prof"
+        assert cli.main(["profile-confidence", str(cfg_file), "--out", str(out)]) == 0
+        cfg = parse_text(text)
+        labeled = [(name, cli.build_algorithm(name, cfg, 9, 2)[1])
+                   for name in cfg.algorithms if name != "ei"]
+        expected = reference_csv(*cli.emit_confidence_profile(labeled, cfg.horizon))
+        assert (out / "confidence_profile.csv").read_bytes() == expected
+
+    def test_json_payload(self, tmp_path):
+        cli._write_json(tmp_path / "p.json", {"b": [1, 2.5], "a": {"d": None, "c": "x"}})
+        assert (tmp_path / "p.json").read_bytes() == (
+            b'{\n  "a": {\n    "c": "x",\n    "d": null\n  },\n'
+            b'  "b": [\n    1,\n    2.5\n  ]\n}\n')
