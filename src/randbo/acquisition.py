@@ -27,16 +27,16 @@ from .errors import ConfigurationError
 from .rng import as_generator
 
 def ucb_scores(mean: np.ndarray, var: np.ndarray, confidence: float) -> np.ndarray:
-    """UCB scores mu + sqrt(confidence) * sd for posterior moments."""
+    """UCB scores mu + sqrt(confidence) * sd for posterior moments (var >= 0)."""
     if confidence < 0:
         raise ConfigurationError("confidence must be non-negative")
-    return mean + math.sqrt(confidence) * np.sqrt(np.maximum(var, 0.0))
+    return mean + math.sqrt(confidence) * np.sqrt(var)
 
 
 def expected_improvement(mean: np.ndarray, var: np.ndarray,
                          incumbent: float) -> np.ndarray:
-    """Closed-form EI against ``incumbent``; zero-variance points score max(mu - inc, 0)."""
-    sd = np.sqrt(np.maximum(var, 0.0))
+    """Closed-form EI against ``incumbent`` (var >= 0); zero variance scores max(mu - inc, 0)."""
+    sd = np.sqrt(var)
     gain = mean - incumbent
     out = np.maximum(gain, 0.0)
     pos = sd > 0.0
@@ -168,7 +168,8 @@ def sample_posterior_path(state: gp.GpState, prior: np.ndarray, obs_rows: np.nda
 
 
 def pims_scores(mean: np.ndarray, var: np.ndarray, f_star: float) -> np.ndarray:
-    sd = np.sqrt(np.maximum(var, 0.0))
+    """Probability of improvement on ``f_star`` for posterior moments (var >= 0)."""
+    sd = np.sqrt(var)
     out = (mean >= f_star).astype(float)
     pos = sd > 0.0
     out[pos] = ndtr((mean[pos] - f_star) / sd[pos])

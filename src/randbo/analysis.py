@@ -323,11 +323,11 @@ def validate_optimum_bound(kernel: gp.Kernel, points, dataset,
     else:
         state = gp.batch_state(kernel, dataset[0], dataset[1], noise_variance)
     V = gp.cross_solve(state, pts)
-    mean = V.T @ state.half_targets
+    mean, var = gp.moments_from_solve(state, pts, V)
+    sd = np.sqrt(var)
     cov = gp.kernel_matrix(kernel, pts) - V.T @ V
-    prior = gp.kernel_diag(kernel, pts)
-    sd = np.sqrt(np.maximum(prior - np.einsum("ij,ij->j", V, V), 0.0))
-    L = gp._jittered_cholesky(cov, float(np.max(prior)), "posterior covariance")
+    L = gp._jittered_cholesky(cov, float(np.max(gp.kernel_diag(kernel, pts))),
+                              "posterior covariance")
 
     draws = rng.standard_normal((n_mc, m)) @ L.T + mean
     lhs_samples = draws.max(axis=1)

@@ -5,6 +5,9 @@ CSV ingestion of tabular measurement data, both ``FiniteInstance``s, and
 analytic benchmark functions on continuous domains (negated so every
 problem is a maximization) as ``ContinuousInstance``s on the unit cube.
 
+Each benchmark's function, domain and optimum are one ``BENCHMARKS``
+entry; the config schema takes its benchmark names from that table.
+
 A synthetic study redraws the objective on one grid per replication. The
 grid's prior Gram is factored once per process (``gp.prior_data``), so
 each draw is one mat-vec of that factor with fresh standard normals, bit
@@ -17,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -104,13 +108,12 @@ class SyntheticInstanceSampler:
 
 @dataclass(frozen=True)
 class BenchmarkInfo:
-    name: str
+    evaluate: Callable[[np.ndarray], float]  # the function on its own domain
     default_dim: int
     fixed_dim: bool
     domain_low: float
     domain_high: float
     optimum_value: float
-    optimizer: tuple[float, ...]  # one optimum location (standard published value)
 
 
 def _holder_table(x: np.ndarray) -> float:
@@ -133,17 +136,9 @@ def _ackley(x: np.ndarray) -> float:
 
 
 BENCHMARKS = {
-    "holder_table": BenchmarkInfo("holder_table", 2, True, -10.0, 10.0,
-                                  19.20850256788675, (8.05502, 9.66459)),
-    "cross_in_tray": BenchmarkInfo("cross_in_tray", 2, True, -10.0, 10.0,
-                                   2.0626118708227397, (1.34941, 1.34941)),
-    "ackley": BenchmarkInfo("ackley", 4, False, -32.768, 32.768, 0.0, (0.0,)),
-}
-
-_EVALUATORS = {
-    "holder_table": _holder_table,
-    "cross_in_tray": _cross_in_tray,
-    "ackley": _ackley,
+    "holder_table": BenchmarkInfo(_holder_table, 2, True, -10.0, 10.0, 19.20850256788675),
+    "cross_in_tray": BenchmarkInfo(_cross_in_tray, 2, True, -10.0, 10.0, 2.0626118708227397),
+    "ackley": BenchmarkInfo(_ackley, 4, False, -32.768, 32.768, 0.0),
 }
 
 
@@ -159,7 +154,7 @@ def benchmark_function(name: str, x) -> float:
         raise DomainError(
             f"{name} domain is [{info.domain_low}, {info.domain_high}]^{x.shape[0]}"
         )
-    return float(_EVALUATORS[name](x))
+    return float(info.evaluate(x))
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,13 @@ Commands:
   configured schedule's analytic mean and 2.5%/97.5% quantiles per
   iteration.
 
-Every CSV is written by ``_write_csv``, which formats each column once from
-its dtype, and every JSON file by ``_write_json``. Exit codes: 0 success,
-2 configuration error, 3 numerical error, 4 verification-check failure.
+An algorithm's schedule comes from its ``config.ALGORITHMS`` entry. A run
+builds every algorithm or schedule it needs, and checks its horizons,
+before its first replication, so a parameter it cannot use fails before
+any result file is written. Every CSV is written by ``_write_csv``, which
+formats each column once from its dtype, and every JSON file by
+``_write_json``. Exit codes: 0 success, 2 configuration error, 3 numerical
+error, 4 verification-check failure.
 RANDBO_OUTPUT_ROOT sets the default output root (default ``runs``).
 """
 
@@ -32,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, bench, confidence, gp
-from .config import ExperimentConfig, override, parse_config, parse_text, serialize_config
+from .config import (ALGORITHMS, ExperimentConfig, override, parse_config, parse_text,
+                     serialize_config)
 from .engine import (
     AcquisitionSpec,
     ContinuousInstance,
@@ -129,44 +134,27 @@ def build_refit_grid(config: ExperimentConfig, dim: int):
     period = config.values.get("refit.period")
     if period is None:
         return None, None
-    lengthscales = config.values.get("refit.lengthscales")
-    if not lengthscales:
-        raise ConfigurationError("refit.period requires refit.lengthscales")
     family = config["kernel.family"]
     grid = tuple(
         gp.KernelSpec.isotropic(family, float(ell), dim, float(sv))
         for sv in config["refit.signal_variances"]
-        for ell in lengthscales
+        for ell in config["refit.lengthscales"]
     )
     return period, grid
 
 
 def build_algorithm(name: str, config: ExperimentConfig, domain_size: int,
                     dim: int) -> tuple[AcquisitionSpec, object]:
-    """Map an algorithm name to (acquisition, schedule-or-None)."""
-    features = AcquisitionSpec("ucb", config["acquisition.num_features"])
-    if name == "gp_ucb":
-        return features, confidence.DeterministicUcb(domain_size, config["gp_ucb.delta"])
-    if name == "rgp_ucb":
-        return features, confidence.GammaRandomized(domain_size, config["rgp_ucb.theta"])
-    if name == "irgp_ucb":
-        return features, confidence.ShiftedExpFinite(domain_size)
-    if name == "irgp_ucb_high_prob":
-        return features, confidence.ShiftedExpHighProb(
-            domain_size, config["irgp_ucb_high_prob.delta"])
-    if name == "irgp_ucb_continuous":
-        return features, confidence.ShiftedExpContinuous(
-            config["irgp_ucb_continuous.a"], config["irgp_ucb_continuous.b"],
-            config["irgp_ucb_continuous.r"], dim)
-    if name == "gp_ucb_heuristic":
-        return features, confidence.HeuristicUcb(dim)
-    if name == "irgp_ucb_heuristic":
-        return features, confidence.HeuristicShiftedExp(dim)
-    if name == "constant_ucb":
-        return features, confidence.Constant(config["constant_ucb.value"])
-    if name in ("ei", "ts", "pims"):
+    """(acquisition, schedule-or-None) of an algorithm, from its
+    ``config.ALGORITHMS`` entry: UCB with the schedule it builds, or the
+    acquisition of its own name when it has none."""
+    if name not in ALGORITHMS:
+        raise ConfigurationError(f"unknown algorithm {name!r}")
+    make = ALGORITHMS[name]
+    if make is None:
         return AcquisitionSpec(name, config["acquisition.num_features"]), None
-    raise ConfigurationError(f"unknown algorithm {name!r}")
+    return (AcquisitionSpec("ucb", config["acquisition.num_features"]),
+            make(config, domain_size, dim))
 
 
 def _run_config_for(config: ExperimentConfig, name: str, domain_size: int,
@@ -236,10 +224,11 @@ def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
         sampler = bench.SyntheticInstanceSampler(kernel, source, config.noise_stddev)
     else:
         sampler = FixedInstanceSampler(source)
+    run_cfgs = [(name, _run_config_for(config, name, domain_size, dim, kernel))
+                for name in config.algorithms]
     outputs: list[str] = []
     reports: list[analysis.BoundReport] = []
-    for name in config.algorithms:
-        run_cfg = _run_config_for(config, name, domain_size, dim, kernel)
+    for name, run_cfg in run_cfgs:
         traces = run_replications(sampler, run_cfg, config.n_reps,
                                   config.base_seed, config.n_jobs)
         summary = analysis.summarize_traces(traces)
@@ -280,6 +269,12 @@ def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     return outputs, 0
 
 
+# Whether the conditional-regret theorem's domain is continuous, for each
+# schedule it covers: the analysis's shifted exponentials, not the heuristic.
+_CONDITIONAL_BOUND = {"irgp_ucb": False, "irgp_ucb_high_prob": False,
+                      "irgp_ucb_continuous": True}
+
+
 def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     grid, domain_size, dim = _domain(config)
     kernel = build_kernel(config, dim)
@@ -308,9 +303,7 @@ def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], in
         write_summary_csv(out / fname, summary)
         outputs.append(fname)
 
-    # The conditional-regret theorem covers the shifted-exponential
-    # schedules of the analysis, not the benchmark heuristic's d/2 shift.
-    if isinstance(schedule, confidence.ShiftedExp) and name != "irgp_ucb_heuristic":
+    if name in _CONDITIONAL_BOUND:
         s_T = schedule.shift(config.horizon)
         delta = config["conditional.delta"]
         greedy = analysis.greedy_information_gain(kernel, grid.points(), config.horizon,
@@ -318,7 +311,7 @@ def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], in
         gamma = greedy / analysis.GREEDY_GAIN_FRACTION
         value = analysis.conditional_bound_U(
             config.horizon, delta, s_T, config.noise_variance, gamma,
-            continuous=name == "irgp_ucb_continuous")
+            continuous=_CONDITIONAL_BOUND[name])
         report = analysis.BoundReport.compare(
             "conditional_regret_bound",
             {"T": config.horizon, "delta": delta, "s_T": s_T,
@@ -333,9 +326,13 @@ def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], in
 def _run_counterexample(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     sampler, _, _ = _domain(config)
     horizons = sorted(config["counterexample.horizons"])
-    if len(horizons) < 2:
-        raise ConfigurationError("counterexample.horizons needs two horizons")
+    if len(set(horizons)) < 2 or horizons[-1] < 3:
+        raise ConfigurationError(
+            "counterexample.horizons needs two distinct horizons, the longer at least 3")
     t_short, t_long = horizons[0], horizons[-1]
+    schedules = [(confidence.Constant(float(c)), f"constant_{c}")
+                 for c in config["counterexample.constants"]]
+    schedules.append((confidence.ShiftedExpFinite(2), "irgp_ucb"))
 
     def run(schedule, label):
         cfg = RunConfig(kernel=sampler.kernel, horizon=t_long, schedule=schedule,
@@ -361,13 +358,10 @@ def _run_counterexample(config: ExperimentConfig, out: Path) -> tuple[list[str],
 
     outputs: list[str] = []
     verdicts = []
-    for c in config["counterexample.constants"]:
-        fname, verdict = run(confidence.Constant(float(c)), f"constant_{c}")
+    for schedule, label in schedules:
+        fname, verdict = run(schedule, label)
         outputs.append(fname)
         verdicts.append(verdict)
-    fname, verdict = run(confidence.ShiftedExpFinite(2), "irgp_ucb")
-    outputs.append(fname)
-    verdicts.append(verdict)
 
     _write_json(out / "slope_verdicts.json", verdicts)
     outputs.append("slope_verdicts.json")

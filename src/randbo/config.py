@@ -3,9 +3,13 @@
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines ignored. Values are integers, reals, booleans (true/false), bare
 strings, or comma-separated lists of reals, of integers or of names, each
-entry checked and kept as written. Unknown keys are rejected with
-a nearest-match suggestion; validation reports every problem at once, not
-just the first.
+entry checked like a scalar of its kind and kept as written. Unknown keys
+are rejected with a nearest-match suggestion; validation reports every
+problem at once, not just the first.
+
+Algorithm names are declared once, in ``ALGORITHMS``; kernel families and
+benchmark names come from the modules that implement them. A key's
+``required_by`` names the kinds, algorithms or keys that need it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import difflib
 import math
 from dataclasses import dataclass, field
 
+from . import bench, confidence, gp
 from .errors import ConfigurationError
 
 KINDS = (
@@ -26,19 +31,21 @@ KINDS = (
     "bound_sweep",
 )
 
-ALGORITHMS = (
-    "gp_ucb",
-    "rgp_ucb",
-    "irgp_ucb",
-    "irgp_ucb_high_prob",
-    "irgp_ucb_continuous",
-    "gp_ucb_heuristic",
-    "irgp_ucb_heuristic",
-    "constant_ucb",
-    "ei",
-    "ts",
-    "pims",
-)
+# Each algorithm and the confidence schedule it builds from (config, |X|, d)
+# for UCB selection; None marks an acquisition that takes no schedule.
+ALGORITHMS = {
+    "gp_ucb": lambda c, m, d: confidence.DeterministicUcb(m, c["gp_ucb.delta"]),
+    "rgp_ucb": lambda c, m, d: confidence.GammaRandomized(m, c["rgp_ucb.theta"]),
+    "irgp_ucb": lambda c, m, d: confidence.ShiftedExpFinite(m),
+    "irgp_ucb_high_prob": lambda c, m, d: confidence.ShiftedExpHighProb(
+        m, c["irgp_ucb_high_prob.delta"]),
+    "irgp_ucb_continuous": lambda c, m, d: confidence.ShiftedExpContinuous(
+        c["irgp_ucb_continuous.a"], c["irgp_ucb_continuous.b"], c["irgp_ucb_continuous.r"], d),
+    "gp_ucb_heuristic": lambda c, m, d: confidence.HeuristicUcb(d),
+    "irgp_ucb_heuristic": lambda c, m, d: confidence.HeuristicShiftedExp(d),
+    "constant_ucb": lambda c, m, d: confidence.Constant(c["constant_ucb.value"]),
+    "ei": None, "ts": None, "pims": None,
+}
 
 
 def _parse_scalar(text: str):
@@ -82,37 +89,43 @@ class _Key:
     name: str
     kind: str  # int | real | bool | str | ints | reals | names
     default: object = None
-    choices: tuple | None = None
+    choices: tuple | dict | None = None
     minimum: float | None = None
     exclusive_max: float | None = None
+    required_by: tuple = ()  # kinds, algorithms or keys that need this key
 
     def coerce(self, value, errors: list[str]):
+        """The checked value, or None once its problems are in ``errors``.
+
+        A scalar is held as its kind: a name as text, a real as float. Each
+        list entry passes the same checks but is kept as written, so
+        ``0.5, 1, 2`` keeps its ``1`` in labels and in the serialized config.
+        """
         if self.kind in _ENTRY_KIND:
-            # List entries are checked, never converted: ``0.5, 1, 2`` keeps
-            # its ``1`` in labels and in the serialized config.
-            fits, expected = _SCALAR[_ENTRY_KIND[self.kind]]
             items = value if isinstance(value, list) else [value]
-            bad = [v for v in items if not fits(v)]
-            errors += [f"{self.name}: expected {expected}, got {v!r}" for v in bad]
-            return None if bad else items
-        fits, expected = _SCALAR[self.kind]
+            fine = [self._check(_ENTRY_KIND[self.kind], v, errors) for v in items]
+            return items if all(fine) else None
         if self.kind == "str":
-            out = str(value)
-        elif not fits(value):
-            errors.append(f"{self.name}: expected {expected}, got {value!r}")
+            value = str(value)
+        if not self._check(self.kind, value, errors):
             return None
+        return float(value) if self.kind == "real" else value
+
+    def _check(self, kind: str, value, errors: list[str]) -> bool:
+        """Whether ``value`` is a valid scalar of ``kind``; if not, says why."""
+        fits, expected = _SCALAR[kind]
+        if not fits(value):
+            problem = f"expected {expected}, got {value!r}"
+        elif self.choices is not None and value not in self.choices:
+            problem = f"{value!r} is not one of {sorted(self.choices)}"
+        elif self.minimum is not None and value < self.minimum:
+            problem = f"{value!r} is below the minimum {self.minimum}"
+        elif self.exclusive_max is not None and value >= self.exclusive_max:
+            problem = f"{value!r} must be below {self.exclusive_max}"
         else:
-            out = float(value) if self.kind == "real" else value
-        if self.choices is not None and out not in self.choices:
-            errors.append(f"{self.name}: {out!r} is not one of {sorted(self.choices)}")
-            return None
-        if self.minimum is not None and out < self.minimum:
-            errors.append(f"{self.name}: {out!r} is below the minimum {self.minimum}")
-            return None
-        if self.exclusive_max is not None and out >= self.exclusive_max:
-            errors.append(f"{self.name}: {out!r} must be below {self.exclusive_max}")
-            return None
-        return out
+            return True
+        errors.append(f"{self.name}: {problem}")
+        return False
 
 
 SCHEMA: dict[str, _Key] = {
@@ -128,14 +141,14 @@ SCHEMA: dict[str, _Key] = {
         _Key("noise_variance", "real", default=None),
         _Key("noise_stddev", "real", default=None, minimum=0.0),
         _Key("kernel.family", "str", default="squared_exponential",
-             choices=("squared_exponential", "matern52", "matern32")),
+             choices=gp.KERNEL_FAMILIES),
         _Key("kernel.lengthscale", "reals", default=[0.1]),
         _Key("kernel.signal_variance", "real", default=1.0),
         _Key("grid.low", "real", default=0.0),
         _Key("grid.high", "real", default=0.9),
         _Key("grid.count", "int", default=10, minimum=1),
         _Key("grid.dim", "int", default=3, minimum=1),
-        _Key("algorithms", "names", default=["irgp_ucb"]),
+        _Key("algorithms", "names", default=["irgp_ucb"], choices=ALGORITHMS),
         _Key("acquisition.num_features", "int", default=2000, minimum=1),
         _Key("candidates.count", "int", default=2000, minimum=1),
         _Key("initial.count", "int", default=1, minimum=0),
@@ -143,27 +156,26 @@ SCHEMA: dict[str, _Key] = {
         _Key("rgp_ucb.theta", "real", default=1.0, minimum=0.0),
         _Key("constant_ucb.value", "real", default=1.0),
         _Key("irgp_ucb_high_prob.delta", "real", default=0.1, minimum=0.0, exclusive_max=1.0),
-        _Key("irgp_ucb_continuous.a", "real", default=None),
-        _Key("irgp_ucb_continuous.b", "real", default=None),
+        _Key("irgp_ucb_continuous.a", "real", required_by=("irgp_ucb_continuous",)),
+        _Key("irgp_ucb_continuous.b", "real", required_by=("irgp_ucb_continuous",)),
         _Key("irgp_ucb_continuous.r", "real", default=1.0),
         _Key("refit.period", "int", default=None, minimum=1),
-        _Key("refit.lengthscales", "reals", default=None),
+        _Key("refit.lengthscales", "reals", required_by=("refit.period",)),
         _Key("refit.signal_variances", "reals", default=[1.0]),
-        _Key("benchmark.name", "str", default=None,
-             choices=("holder_table", "cross_in_tray", "ackley")),
+        _Key("benchmark.name", "str", choices=bench.BENCHMARKS, required_by=("benchmark",)),
         _Key("benchmark.dim", "int", default=None, minimum=1),
-        _Key("tabular.path", "str", default=None),
-        _Key("tabular.objective", "str", default=None),
+        _Key("tabular.path", "str", required_by=("tabular",)),
+        _Key("tabular.objective", "str", required_by=("tabular",)),
         _Key("counterexample.rho", "real", default=0.0),
         _Key("counterexample.constants", "reals", default=[0.5, 1.0, 2.0]),
-        _Key("counterexample.horizons", "ints", default=[250, 1000]),
+        _Key("counterexample.horizons", "ints", default=[250, 1000], minimum=1),
         _Key("conditional.n_sequences", "int", default=1, minimum=1),
         _Key("conditional.delta", "real", default=0.1, minimum=0.0, exclusive_max=1.0),
         _Key("lemma.n_configs", "int", default=50, minimum=1),
         _Key("lemma.n_mc", "int", default=100000, minimum=100),
         _Key("lemma.max_grid", "int", default=50, minimum=2),
         _Key("lemma.max_data", "int", default=20, minimum=0),
-        _Key("bounds.horizons", "ints", default=[100, 200, 400]),
+        _Key("bounds.horizons", "ints", default=[100, 200, 400], minimum=1),
         _Key("bounds.deltas", "reals", default=[0.05, 0.1, 0.2]),
         _Key("bounds.domain_size", "int", default=1000, minimum=2),
         _Key("bounds.gamma", "real", default=10.0, minimum=0.0),
@@ -173,13 +185,6 @@ SCHEMA: dict[str, _Key] = {
         _Key("bounds.dim", "int", default=3, minimum=1),
     ]
 }
-
-# Keys that must be present (beyond schema defaults) for specific kinds.
-REQUIRED_BY_KIND = {
-    "benchmark": ("benchmark.name",),
-    "tabular": ("tabular.path", "tabular.objective"),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -269,20 +274,14 @@ def parse_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
     if "kind" not in values:
         errors.append("kind: required key is missing")
-    else:
-        for req in REQUIRED_BY_KIND.get(values["kind"], ()):
-            if values.get(req) is None:
-                errors.append(f"{req}: required for kind {values['kind']!r}")
-
-    for alg in values.get("algorithms", []):
-        if alg not in ALGORITHMS:
-            hint = difflib.get_close_matches(alg, ALGORITHMS, n=1)
-            suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-            errors.append(f"algorithms: unknown algorithm {alg!r}{suggestion}")
-        if alg == "irgp_ucb_continuous":
-            for p in ("irgp_ucb_continuous.a", "irgp_ucb_continuous.b"):
-                if values.get(p) is None:
-                    errors.append(f"{p}: required by the continuous-domain schedule")
+    # What can need a key: the kind, each algorithm, and each key given a
+    # value. A needed list with no entries is as missing as an absent key.
+    needs = {kind: "kind", **dict.fromkeys(values.get("algorithms", []), "algorithm"),
+             **{k: "key" for k, v in values.items() if v is not None}}
+    for spec in SCHEMA.values():
+        need = next((n for n in spec.required_by if n in needs), None)
+        if need is not None and values.get(spec.name) in (None, []):
+            errors.append(f"{spec.name}: required by {needs[need]} {need!r}")
 
     _raise_on(errors)
     return ExperimentConfig(kind=values["kind"], values=values)

@@ -460,7 +460,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
             sel_x[t - 1] = x_t
             obs_y[t - 1] = y_t
             mu_sel[t - 1] = mean[idx]
-            sd_sel[t - 1] = np.sqrt(max(var[idx], 0.0))
+            sd_sel[t - 1] = np.sqrt(var[idx])
             regret[t - 1] = instance.optimum_value - f_t
 
             state = model.observe(state, idx, x_t, y_t)

@@ -322,17 +322,18 @@ def incremental_update(state: GpState, x, y: float, l_row=None) -> GpState:
 
     pivot_sq = kxx + state.noise_variance - ll
     if pivot_sq <= 0.0:
-        # Escalated diagonal jitter before declaring breakdown; with a
-        # positive noise variance this is nearly unreachable.
+        # Jitter escalated x10 up to the cap, as in ``_jittered_cholesky``;
+        # with a positive noise variance this is nearly unreachable.
         sv = kxx if kxx > 0 else 1.0
         jitter = JITTER_START * sv
-        while pivot_sq + jitter <= 0.0 and jitter <= JITTER_MAX * sv:
+        while pivot_sq + jitter <= 0.0:
             jitter *= 10.0
+            if jitter > JITTER_MAX * sv:
+                raise NumericalError(
+                    f"Cholesky pivot at n={n + 1} ({pivot_sq:.3e}) not positive "
+                    f"within jitter cap {JITTER_MAX * sv:.1e}"
+                )
         pivot_sq += jitter
-        if pivot_sq <= 0.0:
-            raise NumericalError(
-                f"non-positive Cholesky pivot ({pivot_sq:.3e}) after jitter at n={n + 1}"
-            )
         warnings.warn(f"Cholesky pivot at n={n + 1} needed diagonal jitter {jitter:.1e}",
                       RuntimeWarning, stacklevel=2)
     pivot = math.sqrt(pivot_sq)

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randbo import analysis, cli
-from randbo.config import parse_config, parse_text, serialize_config
+from randbo import analysis, cli, engine
+from randbo.config import ALGORITHMS, parse_config, parse_text, serialize_config
 from randbo.engine import BoTrace
 from randbo.errors import ConfigurationError
 
@@ -107,6 +107,27 @@ class TestParseConfig:
             parse_text(f"kind = bound_sweep\n{line}\n")
         assert f"{key}: expected " in str(err.value) and f"got {entry}" in str(err.value)
 
+    @pytest.mark.parametrize("text", [
+        "kind = counterexample\ncounterexample.horizons = 0, 5\n",
+        "kind = bound_sweep\nbounds.horizons = 0\n",
+    ], ids=["counterexample", "bounds"])
+    def test_list_entries_range_checked(self, text):
+        with pytest.raises(ConfigurationError, match="horizons: 0 is below the minimum 1"):
+            parse_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind = benchmark\n", "benchmark.name: required by kind 'benchmark'"),
+        ("kind = synthetic_bcr\nalgorithms = ei, irgp_ucb_continuous\n"
+         "irgp_ucb_continuous.a = 2\n",
+         "irgp_ucb_continuous.b: required by algorithm 'irgp_ucb_continuous'"),
+        ("kind = synthetic_bcr\nrefit.period = 5\n",
+         "refit.lengthscales: required by key 'refit.period'"),
+    ], ids=["kind", "algorithm", "key"])
+    def test_required_key_names_what_needs_it(self, text, message):
+        with pytest.raises(ConfigurationError) as err:
+            parse_text(text)
+        assert message in str(err.value)
+
     def test_bad_list_entries_reported_with_every_other_error(self):
         with pytest.raises(ConfigurationError) as err:
             parse_text("kind = counterexample\nhorizon = 0\ncounterexample.horizons = 10.7, 20\n"
@@ -170,6 +191,10 @@ class TestBuildAlgorithm:
         assert isinstance(sched, cf.HeuristicShiftedExp) and sched.d == 2
         acq, sched = cli.build_algorithm("ts", self.CFG, 9, 2)
         assert acq.kind == "ts" and sched is None
+
+    def test_schedule_free_algorithms_are_the_acquisition_kinds(self):
+        for name, make in ALGORITHMS.items():
+            assert (make is None) == (name in engine.ACQUISITION_KINDS), name
 
 
 class TestRunExperiment:
@@ -412,6 +437,20 @@ class TestMainEntry:
         assert cli.main(["run", str(cfg_file), "--out", str(out), *flag]) == 2
         assert "below the minimum 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        MINIMAL_SYNTHETIC.replace("algorithms = irgp_ucb", "algorithms = ei, gp_ucb")
+        + "gp_ucb.delta = 0.0\n",
+        COUNTEREXAMPLE_SMALL.replace("20, 60", "5, 5"),
+        COUNTEREXAMPLE_SMALL.replace("20, 60", "1, 2"),
+        COUNTEREXAMPLE_SMALL.replace("constants = 1.0", "constants = 1, -1"),
+    ], ids=["roster_bad_delta", "equal_horizons", "short_horizons", "negative_constant"])
+    def test_unusable_parameter_fails_before_any_result_file(self, tmp_path, text):
+        cfg_file = tmp_path / "exp.txt"
+        cfg_file.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_config_of_overridden_run_parses_back(self, tmp_path):
         cfg_file = tmp_path / "exp.txt"

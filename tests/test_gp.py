@@ -137,6 +137,24 @@ class TestIncrementalUpdate:
             state = gp.incremental_update(state, [0.0], 0.0)
         assert state.chol[1, 1] == pytest.approx(1e-5)
 
+    # A supplied l_row whose squared norm exceeds k(x, x) + noise by
+    # ``deficit`` leaves a pivot of -deficit; the jitter may cover it only
+    # up to JITTER_MAX times the signal variance, as in prior factorizations.
+    def pivot_deficit_update(self, deficit):
+        noise = 1e-2
+        state = gp.incremental_update(gp.empty_state(se_kernel(), noise), [0.0], 0.0)
+        l_row = np.array([math.sqrt(1.0 + noise + deficit)])
+        return gp.incremental_update(state, [0.5], 0.0, l_row=l_row)
+
+    def test_pivot_jitter_stops_at_the_cap(self):
+        with pytest.warns(RuntimeWarning, match=r"n=2 needed diagonal jitter 1\.0e-04"):
+            state = self.pivot_deficit_update(5e-5)
+        assert state.chol[1, 1] > 0
+
+    def test_pivot_past_the_jitter_cap_raises(self):
+        with pytest.raises(NumericalError, match=r"within jitter cap 1\.0e-04"):
+            self.pivot_deficit_update(5e-4)
+
     def test_non_finite_observation_rejected(self):
         state = gp.empty_state(se_kernel(), 1.0)
         with pytest.raises(ObservationError):
