@@ -3,7 +3,8 @@
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines ignored. Values are integers, reals, booleans (true/false), bare
 strings, or comma-separated lists of reals, of integers or of names, each
-entry checked like a scalar of its kind and kept as written. Unknown keys
+entry checked like a scalar of its kind and kept as written. A list has at
+least one entry, and a list of names no entry twice. Unknown keys
 are rejected with a nearest-match suggestion; validation reports every
 problem at once, not just the first.
 
@@ -100,11 +101,17 @@ class _Key:
         A scalar is held as its kind: a name as text, a real as float. Each
         list entry passes the same checks but is kept as written, so
         ``0.5, 1, 2`` keeps its ``1`` in labels and in the serialized config.
+        A list needs at least one entry, and a list of names distinct ones.
         """
         if self.kind in _ENTRY_KIND:
             items = value if isinstance(value, list) else [value]
             fine = [self._check(_ENTRY_KIND[self.kind], v, errors) for v in items]
-            return items if all(fine) else None
+            problems = [] if items else ["expected at least one entry"]
+            if self.kind == "names":
+                repeats = dict.fromkeys(v for i, v in enumerate(items) if v in items[:i])
+                problems += [f"{v!r} is listed more than once" for v in repeats]
+            errors.extend(f"{self.name}: {p}" for p in problems)
+            return items if all(fine) and not problems else None
         if self.kind == "str":
             value = str(value)
         if not self._check(self.kind, value, errors):
@@ -274,13 +281,12 @@ def parse_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
     if "kind" not in values:
         errors.append("kind: required key is missing")
-    # What can need a key: the kind, each algorithm, and each key given a
-    # value. A needed list with no entries is as missing as an absent key.
+    # What can need a key: the kind, each algorithm, and each key given a value.
     needs = {kind: "kind", **dict.fromkeys(values.get("algorithms", []), "algorithm"),
              **{k: "key" for k, v in values.items() if v is not None}}
     for spec in SCHEMA.values():
         need = next((n for n in spec.required_by if n in needs), None)
-        if need is not None and values.get(spec.name) in (None, []):
+        if need is not None and values.get(spec.name) is None:
             errors.append(f"{spec.name}: required by {needs[need]} {need!r}")
 
     _raise_on(errors)

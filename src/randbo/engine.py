@@ -32,10 +32,16 @@ drawn at the block's start as one matrix product, from the ``PATHS``
 substream in the order one iteration at a time would draw them.
 
 The fresh-candidate model of a continuous instance draws each iteration's
-candidates and takes their batch posterior. For TS and PIMS one
-V = L^-1 K(X, candidates) serves both the moments and the path, whose
+candidates and forms V = L^-1 K(X, candidates) as one matrix product of
+the inverse factor (``gp.inverse_factor``) with the cross-covariance, not
+as a triangular solve with one right-hand side per candidate: that
+solve's shape, a hundred rows by thousands of columns, runs several times
+slower in BLAS than a product. V agrees with the solve to rounding and
+serves every acquisition: the moments, and for TS and PIMS the path, whose
 random features, at the candidates and the observed inputs, change every
-iteration; it draws a block of one path.
+iteration; it draws a block of one path. Grids keep the triangular solve
+(``gp.cross_solve``), which runs once per refit there, so their outputs
+are unchanged to the byte.
 
 ``run_replications`` draws each replication's instance first; on a fixed
 grid the synthetic sampler's draw is a mat-vec with the grid's cached prior
@@ -362,9 +368,10 @@ class _FreshModel(_Model):
 
     def moments(self, state: gp.GpState, cand_rng: np.random.Generator):
         self.pts = cand_rng.random((self.instance.candidate_count, self.instance.dim))
-        if not self.sampled:
-            return self.pts, *gp.posterior_batch(state, self.pts)
-        self.V = gp.cross_solve(state, self.pts)
+        # One matrix product with L^-1 runs several times faster than the
+        # triangular solve with thousands of right-hand sides.
+        self.V = gp.inverse_factor(state) @ gp.kernel_matrix(
+            state.kernel, state.inputs, self.pts)
         return self.pts, *gp.moments_from_solve(state, self.pts, self.V)
 
     def path(self, state: gp.GpState, t: int) -> np.ndarray:
@@ -427,12 +434,8 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 and (t - 1) % config.refit_period == 0
                 and state.n_obs > 0
             ):
-                kernel = gp.fit_hyperparameters(
-                    state.inputs, state.outputs, list(config.refit_grid),
-                    config.noise_variance,
-                )
-                state = gp.batch_state(kernel, state.inputs, state.outputs,
-                                       config.noise_variance)
+                state = gp.fit_state(state.inputs, state.outputs, list(config.refit_grid),
+                                     config.noise_variance)
                 model.refit(state)
 
             pts, mean, var = model.moments(state, cand_rng)

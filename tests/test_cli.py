@@ -143,6 +143,21 @@ class TestParseConfig:
         assert [type(c) for c in cfg["counterexample.constants"]] == [float, int, int]
         assert "counterexample.constants = 0.5, 1, 2\n" in serialize_config(cfg)
 
+    @pytest.mark.parametrize("key", ["algorithms", "counterexample.constants"])
+    def test_empty_list_rejected(self, key):
+        with pytest.raises(ConfigurationError, match=f"{key}: expected at least one entry"):
+            parse_text(f"kind = counterexample\n{key} = ,\n")
+
+    def test_repeated_name_rejected(self):
+        with pytest.raises(ConfigurationError) as err:
+            parse_text("kind = synthetic_bcr\nalgorithms = ei, ts, ei, ei\n")
+        msg = str(err.value)
+        assert "algorithms: 'ei' is listed more than once" in msg and "'ts'" not in msg
+
+    def test_repeated_reals_allowed(self):
+        cfg = parse_text("kind = synthetic_bcr\ngrid.dim = 2\nkernel.lengthscale = 0.1, 0.1\n")
+        assert cfg["kernel.lengthscale"] == [0.1, 0.1]
+
 
 class TestBuiltinCheckConfigs:
     """The ``check`` suites embed their configs, since the installed package
@@ -451,6 +466,17 @@ class TestMainEntry:
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("line", ["algorithms = ,", "algorithms = ei, ei"],
+                             ids=["empty", "repeated"])
+    def test_unusable_roster_writes_nothing(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "exp.txt"
+        cfg_file.write_text(MINIMAL_SYNTHETIC.replace("algorithms = irgp_ucb", line),
+                            encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 2
+        assert "algorithms: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_of_overridden_run_parses_back(self, tmp_path):
         cfg_file = tmp_path / "exp.txt"

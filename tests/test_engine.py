@@ -303,6 +303,30 @@ class TestObjectiveMode:
         assert len({tuple(x) for x in trace.selected_x}) == 10
 
 
+class TestFreshModelMoments:
+    """The fresh-candidate model forms V as L^-1 K(X, candidates), a product
+    with the inverse factor; its moments must agree with the triangular
+    solve of ``gp.posterior_batch`` to rounding, even on the ill-conditioned
+    states of a long lengthscale and small noise."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("n", [0, 4, 104, 216])
+    def test_moments_match_posterior_batch(self, dim, n):
+        rng = np.random.default_rng(100 * dim + n)
+        X, y = rng.random((n, dim)), rng.normal(scale=3.0, size=n)
+        state = gp.batch_state(se(dim, ell=1.0), X, y, 1e-4)
+        inst = ContinuousInstance(_objective, dim, 500, 0.0, 0.0)
+        cfg = RunConfig(kernel=state.kernel, horizon=1, schedule=Constant(1.0),
+                        noise_variance=1e-4)
+        model = engine._FreshModel(inst, cfg, None, None)
+        pts, mean, var = model.moments(state, np.random.default_rng(7))
+        np.testing.assert_array_equal(pts, np.random.default_rng(7).random((500, dim)))
+        ref_mean, ref_var = gp.posterior_batch(state, pts)
+        scale = 1.0 + (np.max(np.abs(y)) if n else 0.0)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-10 * scale
+        assert np.max(np.abs(var - ref_var)) <= 1e-12
+
+
 class TestSamplePathRoute:
     """run_bo's sampler inputs against ones rebuilt from scratch.
 
@@ -338,10 +362,9 @@ class TestSamplePathRoute:
         picks = []
         for t, (x, y) in enumerate(zip(trace.selected_x, trace.observed_y)):
             if cfg.refit_period is not None and t % cfg.refit_period == 0:
-                kernel = gp.fit_hyperparameters(state.inputs, state.outputs,
-                                                list(cfg.refit_grid), cfg.noise_variance)
-                state = gp.batch_state(kernel, state.inputs, state.outputs, cfg.noise_variance)
-                features = prior(kernel)
+                state = gp.fit_state(state.inputs, state.outputs, list(cfg.refit_grid),
+                                     cfg.noise_variance)
+                features = prior(state.kernel)
             if isinstance(instance, ContinuousInstance):
                 pts = cand_rng.random((instance.candidate_count, instance.dim))
             else:

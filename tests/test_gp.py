@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from randbo import gp
 from randbo.errors import ConfigurationError, NumericalError, ObservationError
@@ -34,6 +35,27 @@ class TestKernelEval:
             assert gp.kernel_matrix(k, x, x2)[0, 0] == pytest.approx(
                 gp.kernel_matrix(k, x2, x)[0, 0])
             assert gp.kernel_matrix(k, x, x)[0, 0] == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("family", gp.KERNEL_FAMILIES)
+    @pytest.mark.parametrize("sv", [1.0, 2.5])
+    @pytest.mark.parametrize("cross", [False, True], ids=["X2_none", "X2_given"])
+    def test_block_equals_the_closed_form_bit_for_bit(self, family, sv, cross):
+        # The block is built in place; it must equal the textbook
+        # expression, evaluated in the same operation order, to the bit.
+        rng = np.random.default_rng(3)
+        kernel = gp.KernelSpec(family, [0.1, 0.3, 0.2], sv)
+        X, X2 = rng.random((54, 3)), rng.random((200, 3)) if cross else None
+        Xs = X / kernel.lengthscales
+        X2s = Xs if X2 is None else X2 / kernel.lengthscales
+        if family == "squared_exponential":
+            expected = sv * np.exp(-0.5 * cdist(Xs, X2s, "sqeuclidean"))
+        elif family == "matern52":
+            c = math.sqrt(5.0) * cdist(Xs, X2s)
+            expected = sv * (1.0 + c + c * c / 3.0) * np.exp(-c)
+        else:
+            c = math.sqrt(3.0) * cdist(Xs, X2s)
+            expected = sv * (1.0 + c) * np.exp(-c)
+        np.testing.assert_array_equal(gp.kernel_matrix(kernel, X, X2), expected)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -224,6 +246,23 @@ class TestCrossSolve:
         assert gp.cross_solve(state, np.zeros((4, 2))).shape == (0, 4)
 
 
+class TestInverseFactor:
+    def test_inverts_the_factor(self):
+        rng = np.random.default_rng(12)
+        state = gp.batch_state(se_kernel(dim=2, ell=0.5), rng.random((30, 2)),
+                               rng.normal(size=30), 1e-3)
+        inv = gp.inverse_factor(state)
+        np.testing.assert_allclose(inv @ state.chol, np.eye(30), atol=1e-12)
+        np.testing.assert_array_equal(np.triu(inv, 1), 0.0)
+
+    def test_empty_state_gives_empty_inverse(self):
+        state = gp.empty_state(se_kernel(dim=2), 0.1)
+        inv = gp.inverse_factor(state)
+        assert inv.shape == (0, 0)
+        assert (inv @ gp.kernel_matrix(state.kernel, state.inputs, np.zeros((4, 2)))).shape \
+            == (0, 4)
+
+
 class TestSamplePrior:
     def test_single_candidate_moments(self):
         draws = np.array([gp.sample_prior(se_kernel(), [[0.0]], s)[0] for s in range(10000)])
@@ -294,6 +333,16 @@ class TestFitHyperparameters:
     def test_empty_dataset_falls_back_to_first(self):
         grid = [se_kernel(ell=0.2), se_kernel(ell=0.9)]
         assert gp.fit_hyperparameters(np.empty((0, 1)), [], grid, 0.1) is grid[0]
+
+    def test_state_is_the_batch_state_of_the_pick(self):
+        rng = np.random.default_rng(4)
+        X, y = rng.random((25, 2)), rng.normal(size=25)
+        grid = [se_kernel(dim=2, ell=ell) for ell in (0.05, 0.2, 0.5, 1.0)]
+        state = gp.fit_state(X, y, grid, 1e-4)
+        assert state.kernel is gp.fit_hyperparameters(X, y, grid, 1e-4)
+        rebuilt = gp.batch_state(state.kernel, X, y, 1e-4)
+        for name in ("inputs", "outputs", "chol", "half_targets"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(rebuilt, name))
 
     def test_recovers_generating_lengthscale(self):
         # Data from ell=0.1 against the grid {0.05, 0.1, 0.2, 0.5}; the true
