@@ -6,9 +6,12 @@ iteration t's value, and inherits ``draw(t, rng)``, ``mean(t)`` and
 deterministic widths (anytime, constant, heuristic, and a replayed
 sequence), whose value is the shift, and ``ShiftedExp`` for the shift plus
 an exponential of rate 1/2 (finite, continuous, anytime high-probability
-and heuristic shifts). The Gamma-randomized width defines its own three.
-Every randomized draw advances the generator exactly once, so a fixed
-generator state maps one-to-one onto a draw sequence.
+and heuristic shifts). The Gamma-randomized width defines its own three;
+its quantile is the inverse regularized lower incomplete gamma function
+(``scipy.special.gammaincinv``) times the scale, the same double that
+``scipy.stats.gamma.ppf`` returns, so importing this module does not load
+``scipy.stats``. Every randomized draw advances the generator exactly
+once, so a fixed generator state maps one-to-one onto a draw sequence.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gamma as _gamma_dist
+from scipy.special import gammaincinv
 
 from .errors import ConfigurationError
 from .rng import as_generator
@@ -301,8 +304,15 @@ class GammaRandomized:
         return self.theta * gamma_shape(self.domain_size, t)
 
     def quantile(self, t: int, q: float) -> float:
+        """The level-q quantile theta P^-1(kappa_t, q) of Gamma(kappa_t, theta).
+
+        P^-1 is the inverse regularized lower incomplete gamma function.
+        This is the same double as ``scipy.stats.gamma.ppf(q, kappa_t,
+        scale=theta)``, but leaves that module unloaded: loading it would
+        be most of the package's start-up time.
+        """
         _check_level(q)
-        return float(_gamma_dist.ppf(q, gamma_shape(self.domain_size, t), scale=self.theta))
+        return float(gammaincinv(gamma_shape(self.domain_size, t), q) * self.theta)
 
 
 ConfidenceSchedule = PointMass | ShiftedExp | GammaRandomized

@@ -20,16 +20,19 @@ prior diagonal and each appended observation's Gram row are read from the
 process-level prior Gram of the grid (``gp.prior_data``), computed once per
 (kernel, grid) and shared by every replication and every refit that lands
 on the same kernel; a grid too large for that cache gets its rows computed
-per append instead. The posterior-sample rules reuse the cache: on a grid
-whose prior factor L is cached (L L^T = K), the features of the prior path
-are L itself, so each path is an exact posterior draw, a prior draw L z
-corrected through the cached V and the state's Cholesky factor. A grid
-above the cache's size takes a random-Fourier-feature prior path instead,
-with ``AcquisitionSpec.num_features`` features. The features stay fixed
-from one refit to the next, so the prior paths of a block of iterations
-(up to the next refit, the horizon, or ``PATH_BLOCK`` iterations) are
-drawn at the block's start as one matrix product, from the ``PATHS``
-substream in the order one iteration at a time would draw them.
+per append instead. The Cholesky update of an observation takes its prior
+variance k(x, x) from the model's prior diagonal, so no kernel is
+evaluated at the observed point. The posterior-sample rules reuse the
+cache: on a grid whose prior factor L is cached (L L^T = K), the features
+of the prior path are L itself, so each path is an exact posterior draw,
+a prior draw L z corrected through the cached V and the state's Cholesky
+factor. A grid above the cache's size takes a random-Fourier-feature prior
+path instead, with ``AcquisitionSpec.num_features`` features. The features
+stay fixed from one refit to the next, so the prior paths of a block of
+iterations (up to the next refit, the horizon, or ``PATH_BLOCK``
+iterations) are drawn at the block's start as one matrix product, from
+the ``PATHS`` substream in the order one iteration at a time would draw
+them.
 
 The fresh-candidate model of a continuous instance draws each iteration's
 candidates and forms V = L^-1 K(X, candidates) as one matrix product of
@@ -333,10 +336,12 @@ class _GridModel(_Model):
                                      self.V[:n], self.eps[j])
 
     def observe(self, state: gp.GpState, idx: int, x: np.ndarray, y: float) -> gp.GpState:
-        # The solve row for a grid point is already a column of V, so the
-        # update needs no triangular solve.
+        # The solve row for a grid point is already a column of V, and its
+        # prior variance an entry of the cached diagonal, so the update
+        # needs no triangular solve and no kernel evaluation.
         n = state.n_obs
-        new_state = gp.incremental_update(state, x, y, l_row=self.V[:n, idx])
+        new_state = gp.incremental_update(state, x, y, l_row=self.V[:n, idx],
+                                          prior_var=self.prior[idx])
         k_row = self.gram[idx] if self.gram is not None else gp.kernel_matrix(
             new_state.kernel, x[None, :], self.instance.points)[0]
         v = (k_row - new_state.chol[n, :n] @ self.V[:n]) / new_state.chol[n, n]

@@ -308,7 +308,8 @@ def batch_state(kernel: Kernel, X, y, noise_variance: float) -> GpState:
     return GpState(kernel, float(noise_variance), buf, n)
 
 
-def incremental_update(state: GpState, x, y: float, l_row=None) -> GpState:
+def incremental_update(state: GpState, x, y: float, l_row=None,
+                       prior_var: float | None = None) -> GpState:
     """Return the state extended by one observation (x, y).
 
     Equivalent to a from-scratch rebuild on the extended dataset; the new
@@ -318,6 +319,13 @@ def incremental_update(state: GpState, x, y: float, l_row=None) -> GpState:
     ``l_row`` optionally supplies the precomputed solve L^-1 k(inputs, x)
     (callers that batch-solve candidate columns already hold it); it must
     match that definition exactly, which the posterior replay tests pin.
+
+    ``prior_var`` optionally supplies k(x, x), the prior variance at x under
+    ``state.kernel``, which a caller holding the kernel's diagonal over its
+    candidates already has. Passing it vouches that it is that point's own
+    variance, the value ``kernel_diag(state.kernel, x)`` returns: not the
+    signal variance or another point's, which differ under an
+    ``ExplicitKernel`` with an unequal diagonal. It is not re-checked.
     """
     y = float(y)
     if not math.isfinite(y):
@@ -327,7 +335,7 @@ def incremental_update(state: GpState, x, y: float, l_row=None) -> GpState:
         raise ConfigurationError(f"input has shape {x.shape}, expected ({state.dim},)")
 
     n = state.n_obs
-    kxx = float(kernel_diag(state.kernel, x[None, :])[0])
+    kxx = float(kernel_diag(state.kernel, x[None, :])[0] if prior_var is None else prior_var)
     if n:
         if l_row is None:
             k_vec = kernel_matrix(state.kernel, state.inputs, x[None, :])[:, 0]

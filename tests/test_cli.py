@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
+from scipy.stats import norm
 
 from randbo import analysis, cli, engine
 from randbo.config import ALGORITHMS, parse_config, parse_text, serialize_config
@@ -554,6 +559,22 @@ class TestEnvironment:
         ta = (a / "traces_irgp_ucb.csv").read_text()
         tb = (b / "traces_irgp_ucb.csv").read_text()
         assert ta != tb
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # A fresh process, since this suite itself imports scipy.stats.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, randbo.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_tail_check_reads_the_normal_survival_function(self):
+        # ``check bounds`` compares the tail bound with ndtr(-c), which is
+        # scipy.stats.norm.sf(c) to the bit on the check's grid.
+        for c in np.arange(0.1, 5.05, 0.1):
+            assert float(ndtr(-c)) == float(norm.sf(c))
 
 
 def reference_cell(value) -> str:

@@ -1,10 +1,11 @@
 """Tests for confidence-parameter schedules and samplers."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import gamma, ks_2samp
 
 from randbo import confidence as cf
 from randbo.errors import ConfigurationError
@@ -217,6 +218,17 @@ class TestScheduleQuantiles:
         lo = sched.quantile(1, 0.025)
         hi = sched.quantile(1, 0.975)
         assert lo < sched.mean(1) < hi
+
+    def test_gamma_quantile_is_the_scipy_stats_double(self):
+        # The inverse regularized incomplete gamma times theta, against
+        # scipy.stats' ppf, over domain sizes, iterations, levels in both
+        # tails and scales, three of them seeded draws.
+        thetas = [0.5, 1.0, 2.0] + np.random.default_rng(16).uniform(0.05, 20.0, 3).tolist()
+        for size, t, q, theta in itertools.product(
+                [2, 25, 1000, 10**6], [1, 7, 200, 10**5],
+                [1e-6, 0.025, 0.5, 0.975, 1 - 1e-6], thetas):
+            want = float(gamma.ppf(q, cf.gamma_shape(size, t), scale=theta))
+            assert cf.GammaRandomized(size, theta).quantile(t, q) == want, (size, t, q, theta)
 
     def test_empirical_coverage(self):
         sched = cf.ShiftedExpFinite(30)

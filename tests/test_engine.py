@@ -327,6 +327,37 @@ class TestFreshModelMoments:
         assert np.max(np.abs(var - ref_var)) <= 1e-12
 
 
+class TestExplicitGridObservations:
+    """A grid observation takes k(x, x) from the model's cached prior
+    diagonal. Under an explicit covariance with an unequal diagonal, each
+    row's own variance must be used: the recorded moments must match a
+    from-scratch posterior on the same data, which they would not if one
+    variance (the first row's, or a nominal signal variance) stood in for
+    every row."""
+
+    COV = np.array([[0.5, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 2.0]])
+
+    @pytest.mark.parametrize("kind", ["ucb", "ei"])
+    def test_moments_replay_from_scratch(self, kind):
+        kernel = gp.ExplicitKernel(self.COV)
+        inst = FiniteInstance([[0.0], [1.0], [2.0]], [0.0, 0.4, -0.3], 0.1)
+        cfg = RunConfig(kernel=kernel, horizon=20, noise_variance=1e-2, initial_design=2,
+                        schedule=Constant(2.0) if kind == "ucb" else None,
+                        acquisition=AcquisitionSpec(kind))
+        for seed in (1, 2, 3):
+            trace = run_bo(inst, cfg, seed)
+            X, y = list(trace.initial_x), list(trace.initial_y)
+            for t in range(cfg.horizon):
+                state = gp.batch_state(kernel, np.array(X), np.array(y), cfg.noise_variance)
+                mean, var = gp.posterior_batch(state, inst.points)
+                i = trace.selected_index[t]
+                assert abs(trace.mean_at_selection[t] - mean[i]) <= 1e-10
+                assert abs(trace.sd_at_selection[t] - math.sqrt(var[i])) <= 1e-10
+                X.append(trace.selected_x[t])
+                y.append(trace.observed_y[t])
+            assert len(set(trace.selected_index.tolist()) | set(trace.initial_indices)) == 3
+
+
 class TestSamplePathRoute:
     """run_bo's sampler inputs against ones rebuilt from scratch.
 

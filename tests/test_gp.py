@@ -184,6 +184,27 @@ class TestIncrementalUpdate:
         with pytest.raises(ObservationError):
             gp.incremental_update(state, [0.0], float("inf"))
 
+    @pytest.mark.parametrize("kernel", [
+        se_kernel(dim=2, ell=0.3, sv=2.5),
+        gp.ExplicitKernel(np.array([[0.5, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 2.0]])),
+    ], ids=["se", "explicit"])
+    def test_supplied_prior_variance_is_bit_identical(self, kernel):
+        # Supplying k(x, x) as the kernel's diagonal gives it changes no bit
+        # of the factor, the whitened targets or the stored data.
+        rng = np.random.default_rng(8)
+        if isinstance(kernel, gp.ExplicitKernel):
+            X = rng.integers(0, 3, (12, 1)).astype(float)
+        else:
+            X = rng.random((12, 2))
+        y = rng.normal(size=12)
+        plain = given = gp.empty_state(kernel, 1e-3)
+        for x, obs in zip(X, y):
+            plain = gp.incremental_update(plain, x, obs)
+            given = gp.incremental_update(given, x, obs,
+                                          prior_var=gp.kernel_diag(kernel, x[None, :])[0])
+        for name in ("inputs", "outputs", "chol", "half_targets"):
+            np.testing.assert_array_equal(getattr(given, name), getattr(plain, name))
+
     def test_value_semantics_on_fork(self):
         # Updating the same parent twice must not corrupt either child.
         kernel = se_kernel(dim=1)
