@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gp
-from .confidence import RATE, Replay, beta_deterministic, shift_finite
+from .confidence import RATE, Replay, beta_deterministic, shift_continuous, shift_finite
 from .engine import BoTrace, FiniteInstance, RunConfig, run_replications
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 from .rng import as_generator
 
 
@@ -123,10 +123,8 @@ def realized_information_gain(kernel: gp.Kernel, points, noise_variance: float) 
         pts = pts[:, None]
     K = gp.kernel_matrix(kernel, pts)
     A = np.eye(pts.shape[0]) + K / noise_variance
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"information-gain factorization failed: {exc}") from exc
+    L = gp.cholesky(A, float(np.max(np.diagonal(A))),
+                    f"information-gain matrix of {pts.shape[0]} points", start=0.0)
     return float(np.sum(np.log(np.diag(L))))
 
 
@@ -204,8 +202,6 @@ def bcr_bound_finite(T: int, domain_size: int, noise_variance: float,
 def bcr_bound_continuous(T: int, a: float, b: float, r: float, d: int,
                          noise_variance: float, gamma: float) -> float:
     """Expected-regret bound pi^2/6 + sqrt(C1 T gamma (2 + s_T)) for continuous domains."""
-    from .confidence import shift_continuous
-
     if T < 1 or gamma < 0:
         raise ConfigurationError("need T >= 1 and gamma >= 0")
     s_T = shift_continuous(a, b, r, d, T)
@@ -326,8 +322,8 @@ def validate_optimum_bound(kernel: gp.Kernel, points, dataset,
     mean, var = gp.moments_from_solve(state, pts, V)
     sd = np.sqrt(var)
     cov = gp.kernel_matrix(kernel, pts) - V.T @ V
-    L = gp._jittered_cholesky(cov, float(np.max(gp.kernel_diag(kernel, pts))),
-                              "posterior covariance")
+    L = gp.cholesky(cov, float(np.max(gp.kernel_diag(kernel, pts))),
+                    f"posterior covariance of {m} points")
 
     draws = rng.standard_normal((n_mc, m)) @ L.T + mean
     lhs_samples = draws.max(axis=1)

@@ -195,22 +195,6 @@ def make_benchmark_instance(name: str, dim: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TabularDataset:
-    """Raw tabular problem data: features, objective column, and names."""
-
-    features: np.ndarray
-    objective: np.ndarray
-    feature_names: tuple[str, ...]
-    objective_name: str
-
-    def __post_init__(self):
-        if self.features.shape[0] != self.objective.shape[0]:
-            raise IngestionError("feature rows and objective length differ")
-        if self.features.shape[0] < 2:
-            raise IngestionError("tabular dataset needs at least 2 rows")
-
-
 def standardize_columns(features: np.ndarray) -> np.ndarray:
     """Zero-mean unit-variance columns.
 
@@ -223,12 +207,13 @@ def standardize_columns(features: np.ndarray) -> np.ndarray:
     return (features - means) / stds
 
 
-def ingest_tabular(path, objective_column: str) -> tuple[TabularDataset, FiniteInstance]:
+def ingest_tabular(path, objective_column: str) -> FiniteInstance:
     """Parse a CSV file into a finite-domain problem instance.
 
     Contract: comma-separated, UTF-8, first row holds column names, decimal
-    point '.'. Every non-objective column is a feature. The instance's
-    points are the features standardized for kernel distances.
+    point '.', at least 2 data rows. Every non-objective column is a
+    feature. The instance's points are the features standardized for
+    kernel distances.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -263,13 +248,11 @@ def ingest_tabular(path, objective_column: str) -> tuple[TabularDataset, FiniteI
         parsed.append(values)
     if missing:
         raise IngestionError(f"{path}: missing values on lines {missing}")
+    if len(parsed) < 2:
+        raise IngestionError(f"{path}: tabular dataset needs at least 2 rows")
 
     data = np.asarray(parsed, dtype=float)
     objective = data[:, obj_pos]
-    features = np.delete(data, obj_pos, axis=1)
-    names = tuple(h for k, h in enumerate(header) if k != obj_pos)
     if not np.all(np.isfinite(objective)):
         raise IngestionError(f"{path}: objective column contains non-finite values")
-    dataset = TabularDataset(features, objective, names, objective_column)
-
-    return dataset, FiniteInstance(standardize_columns(features), objective, 0.0)
+    return FiniteInstance(standardize_columns(np.delete(data, obj_pos, axis=1)), objective, 0.0)

@@ -174,6 +174,12 @@ def _run_config_for(config: ExperimentConfig, name: str, domain_size: int,
     )
 
 
+def _check_initial_design(config: ExperimentConfig, domain_size: int) -> None:
+    """A finite domain's initial design draws distinct points, at most all of them."""
+    if config["initial.count"] > domain_size:
+        raise ConfigurationError(f"initial.count exceeds the {domain_size} points of the domain")
+
+
 def _mean_realized_gain(traces, kernel, noise_variance: float) -> float:
     gains = [
         analysis.realized_information_gain(kernel, tr.selected_x, noise_variance)
@@ -201,7 +207,7 @@ def _domain(config: ExperimentConfig):
             config.noise_stddev, config["candidates.count"])
         return instance, instance.candidate_count, instance.dim
     if config.kind == "tabular":
-        _, instance = bench.ingest_tabular(config["tabular.path"], config["tabular.objective"])
+        instance = bench.ingest_tabular(config["tabular.path"], config["tabular.objective"])
         return instance, len(instance.points), instance.dim
     if config.kind == "counterexample":
         return analysis.counterexample_instance(config["counterexample.rho"]), 2, 1
@@ -220,6 +226,8 @@ def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     """
     source, domain_size, dim = _domain(config)
     finite = not isinstance(source, ContinuousInstance)
+    if finite:
+        _check_initial_design(config, domain_size)
     kernel = build_kernel(config, dim)
     if config.kind == "synthetic_bcr":
         sampler = bench.SyntheticInstanceSampler(kernel, source, config.noise_stddev)
@@ -277,7 +285,11 @@ _CONDITIONAL_BOUND = {"irgp_ucb": False, "irgp_ucb_high_prob": False,
 
 
 def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+    if len(config.algorithms) != 1:
+        raise ConfigurationError(
+            f"conditional_regret conditions on one algorithm, got {config.algorithms}")
     grid, domain_size, dim = _domain(config)
+    _check_initial_design(config, domain_size)
     kernel = build_kernel(config, dim)
     sampler = bench.SyntheticInstanceSampler(kernel, grid, config.noise_stddev)
     name = config.algorithms[0]

@@ -92,6 +92,7 @@ class _Key:
     default: object = None
     choices: tuple | dict | None = None
     minimum: float | None = None
+    exclusive_min: float | None = None
     exclusive_max: float | None = None
     required_by: tuple = ()  # kinds, algorithms or keys that need this key
 
@@ -127,6 +128,8 @@ class _Key:
             problem = f"{value!r} is not one of {sorted(self.choices)}"
         elif self.minimum is not None and value < self.minimum:
             problem = f"{value!r} is below the minimum {self.minimum}"
+        elif self.exclusive_min is not None and value <= self.exclusive_min:
+            problem = f"{value!r} must be above {self.exclusive_min}"
         elif self.exclusive_max is not None and value >= self.exclusive_max:
             problem = f"{value!r} must be below {self.exclusive_max}"
         else:
@@ -159,10 +162,10 @@ SCHEMA: dict[str, _Key] = {
         _Key("acquisition.num_features", "int", default=2000, minimum=1),
         _Key("candidates.count", "int", default=2000, minimum=1),
         _Key("initial.count", "int", default=1, minimum=0),
-        _Key("gp_ucb.delta", "real", default=0.1, minimum=0.0, exclusive_max=1.0),
+        _Key("gp_ucb.delta", "real", default=0.1, exclusive_min=0.0, exclusive_max=1.0),
         _Key("rgp_ucb.theta", "real", default=1.0, minimum=0.0),
         _Key("constant_ucb.value", "real", default=1.0),
-        _Key("irgp_ucb_high_prob.delta", "real", default=0.1, minimum=0.0, exclusive_max=1.0),
+        _Key("irgp_ucb_high_prob.delta", "real", default=0.1, exclusive_min=0.0, exclusive_max=1.0),
         _Key("irgp_ucb_continuous.a", "real", required_by=("irgp_ucb_continuous",)),
         _Key("irgp_ucb_continuous.b", "real", required_by=("irgp_ucb_continuous",)),
         _Key("irgp_ucb_continuous.r", "real", default=1.0),
@@ -177,7 +180,7 @@ SCHEMA: dict[str, _Key] = {
         _Key("counterexample.constants", "reals", default=[0.5, 1.0, 2.0]),
         _Key("counterexample.horizons", "ints", default=[250, 1000], minimum=1),
         _Key("conditional.n_sequences", "int", default=1, minimum=1),
-        _Key("conditional.delta", "real", default=0.1, minimum=0.0, exclusive_max=1.0),
+        _Key("conditional.delta", "real", default=0.1, exclusive_min=0.0, exclusive_max=1.0),
         _Key("lemma.n_configs", "int", default=50, minimum=1),
         _Key("lemma.n_mc", "int", default=100000, minimum=100),
         _Key("lemma.max_grid", "int", default=50, minimum=2),

@@ -6,6 +6,11 @@ given directly), incremental posterior updates through rank-one Cholesky
 extension, joint prior sampling on a grid, and the log marginal likelihood
 used for grid-search hyperparameter selection.
 
+Every factorization that can meet a near-singular matrix goes through
+``cholesky`` and escalates its diagonal jitter the same way: prior Grams,
+observation Grams, a non-positive pivot of an incremental update, and in
+``analysis`` the posterior covariance and the information-gain matrix.
+
 Studies that redraw the objective on one fixed grid share one kernel and
 one point set across every replication, so ``prior_data`` keeps a
 process-level LRU cache of the read-only prior Gram K(grid, grid) per
@@ -13,8 +18,7 @@ process-level LRU cache of the read-only prior Gram K(grid, grid) per
 built on first use. A prior draw is then one mat-vec with the factor and a
 Gram row is a lookup. Point sets whose Gram and factor would not fit in
 the cache together are not cached; their callers compute rows and draws
-directly. ``sample_prior`` stays uncached; it shares the factorization
-helper.
+directly. ``sample_prior`` stays uncached.
 
 ``cross_solve`` forms V = L^-1 K(inputs, X) by a triangular solve.
 ``inverse_factor`` gives L^-1 itself: for V at thousands of fresh points
@@ -47,9 +51,9 @@ MATERN52 = "matern52"
 MATERN32 = "matern32"
 KERNEL_FAMILIES = (SQUARED_EXPONENTIAL, MATERN52, MATERN32)
 
-# Diagonal jitter for prior-sample Gram factorizations, relative to the
-# signal variance: start at 1e-10, escalate x10 up to 1e-4, then give up.
-# Dense grids with short lengthscales produce near-singular Gram matrices.
+# Diagonal jitter of ``cholesky``, relative to the matrix's scale (the
+# signal variance for a Gram): escalate x10 from 1e-10 up to 1e-4, then give
+# up. Dense grids with short lengthscales produce near-singular Grams.
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
 
@@ -283,7 +287,7 @@ def empty_state(kernel: Kernel, noise_variance: float, capacity: int = 64) -> Gp
 
 
 def batch_state(kernel: Kernel, X, y, noise_variance: float) -> GpState:
-    """Build a state from a whole dataset with one dense Cholesky."""
+    """Build a state from a whole dataset by one ``cholesky``, tried without jitter first."""
     if not noise_variance > 0:
         raise ConfigurationError("noise_variance must be positive")
     X = _as_points(X, kernel.dim)
@@ -295,11 +299,10 @@ def batch_state(kernel: Kernel, X, y, noise_variance: float) -> GpState:
         raise ObservationError("non-finite observation value")
     buf = _Buffer(kernel.dim, max(n, 8))
     if n:
-        K = kernel_matrix(kernel, X) + noise_variance * np.eye(n)
-        try:
-            L = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Cholesky failed on {n} observations: {exc}") from exc
+        K = kernel_matrix(kernel, X)
+        scale = float(np.max(np.diagonal(K)))
+        K.flat[:: n + 1] += noise_variance
+        L = cholesky(K, scale, f"observation Gram of {n} points", start=0.0)
         buf.x[:n] = X
         buf.y[:n] = y
         buf.chol[:n, :n] = L
@@ -351,21 +354,12 @@ def incremental_update(state: GpState, x, y: float, l_row=None,
 
     pivot_sq = kxx + state.noise_variance - ll
     if pivot_sq <= 0.0:
-        # Jitter escalated x10 up to the cap, as in ``_jittered_cholesky``;
-        # with a positive noise variance this is nearly unreachable.
-        sv = kxx if kxx > 0 else 1.0
-        jitter = JITTER_START * sv
-        while pivot_sq + jitter <= 0.0:
-            jitter *= 10.0
-            if jitter > JITTER_MAX * sv:
-                raise NumericalError(
-                    f"Cholesky pivot at n={n + 1} ({pivot_sq:.3e}) not positive "
-                    f"within jitter cap {JITTER_MAX * sv:.1e}"
-                )
-        pivot_sq += jitter
-        warnings.warn(f"Cholesky pivot at n={n + 1} needed diagonal jitter {jitter:.1e}",
-                      RuntimeWarning, stacklevel=2)
-    pivot = math.sqrt(pivot_sq)
+        # A 1 x 1 factorization; with a positive noise variance this is
+        # nearly unreachable.
+        pivot = float(cholesky(np.array([[pivot_sq]]), kxx if kxx > 0 else 1.0,
+                               f"Cholesky pivot at n={n + 1}", start=0.0)[0, 0])
+    else:
+        pivot = math.sqrt(pivot_sq)
 
     buf = state._buf
     if buf.size != n or n >= buf.capacity:
@@ -428,36 +422,37 @@ def moments_from_solve(state: GpState, X, V: np.ndarray) -> tuple[np.ndarray, np
     return mean, np.maximum(var, 0.0)
 
 
-def _jittered_cholesky(K: np.ndarray, scale: float, label: str = "prior Gram") -> np.ndarray:
+def cholesky(K: np.ndarray, scale: float, label: str, start: float | None = None) -> np.ndarray:
     """Lower Cholesky factor of K plus the smallest escalated diagonal jitter.
 
-    The jitter starts at ``JITTER_START * scale`` and grows x10 per failed
-    attempt; past ``JITTER_MAX * scale`` it raises NumericalError. Each
-    attempt writes diag(K) + jitter onto K's diagonal in place, the same
-    matrix as ``K + jitter * I`` without m x m temporaries, and K's diagonal
-    is restored before returning. Escalation past the start value is
-    reported by one warning naming ``label`` and the jitter it ended at.
+    The first attempt adds ``start`` to the diagonal, ``JITTER_START *
+    scale`` when it is None. Each failed attempt raises the jitter x10
+    (after a zero start, to ``JITTER_START * scale``); past ``JITTER_MAX *
+    scale`` it raises NumericalError. Each attempt writes diag(K) + jitter
+    onto K's diagonal in place, the same matrix as ``K + jitter * I``
+    without m x m temporaries, and K's diagonal is restored before
+    returning. ``label`` names the matrix in messages, as in "prior Gram of
+    200 points"; a factor that needed more jitter than the first attempt
+    is reported by one RuntimeWarning naming it and the jitter it ended at.
     """
     m = K.shape[0]
     diag = K.diagonal().copy()
-    jitter = JITTER_START * scale
+    first = jitter = JITTER_START * scale if start is None else start
     while True:
         K.flat[:: m + 1] = diag + jitter
         try:
             L = np.linalg.cholesky(K)
             break
         except np.linalg.LinAlgError:
-            jitter *= 10.0
+            jitter = jitter * 10.0 if jitter else JITTER_START * scale
             if jitter > JITTER_MAX * scale:
                 raise NumericalError(
                     f"{label} not factorizable within jitter cap {JITTER_MAX * scale:.1e}"
                 )
     K.flat[:: m + 1] = diag
-    if jitter > JITTER_START * scale:
-        warnings.warn(
-            f"{label} of {m} points needed diagonal jitter {jitter:.1e} to factorize",
-            RuntimeWarning, stacklevel=3,
-        )
+    if jitter > first:
+        warnings.warn(f"{label} needed diagonal jitter {jitter:.1e} to factorize",
+                      RuntimeWarning, stacklevel=3)
     return L
 
 
@@ -490,7 +485,7 @@ def sample_prior(kernel: Kernel, candidates, seed) -> np.ndarray:
     X = _check_candidates(kernel, candidates)
     rng = as_generator(seed)
     K = kernel_matrix(kernel, X)
-    L = _jittered_cholesky(K, float(np.max(kernel_diag(kernel, X))))
+    L = cholesky(K, float(np.max(kernel_diag(kernel, X))), f"prior Gram of {X.shape[0]} points")
     return L @ rng.standard_normal(X.shape[0])
 
 
@@ -542,7 +537,8 @@ class _PriorCache:
             # through a copy. In place keeps the held arrays contiguous in
             # memory instead of pinning a freed copy between them.
             K = entry.gram if entry.gram.flags.writeable else entry.gram.copy()
-            entry.factor = _readonly(_jittered_cholesky(K, float(np.max(np.diagonal(K)))))
+            entry.factor = _readonly(cholesky(K, float(np.max(np.diagonal(K))),
+                                              f"prior Gram of {K.shape[0]} points"))
         _readonly(entry.gram)
         self._entries[key] = entry
         self.held_bytes += entry.nbytes

@@ -16,7 +16,7 @@ from randbo.engine import (
     RunConfig,
     run_replications,
 )
-from randbo.errors import ConfigurationError
+from randbo.errors import ConfigurationError, NumericalError
 
 
 def se(dim, ell=0.4):
@@ -162,6 +162,14 @@ class TestConditionalRegret:
 class TestInformationGain:
     def test_empty_set(self):
         assert an.realized_information_gain(se(2), np.empty((0, 2)), 1.0) == 0.0
+
+    def test_exhausted_escalation_raises(self, require_jitter):
+        # I + K/sigma^2 has diagonal 2 here, so the cap is 2e-4 and a demanded
+        # jitter of 10 is past it.
+        require_jitter(10.0)
+        with pytest.raises(NumericalError, match=r"information-gain matrix of 3 points "
+                           r"not factorizable within jitter cap 2\.0e-04"):
+            an.realized_information_gain(se(1), [[0.1], [0.5], [0.9]], 1.0)
 
     def test_single_unit_point(self):
         got = an.realized_information_gain(se(1), [[0.3]], 1.0)

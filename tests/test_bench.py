@@ -205,11 +205,10 @@ class TestTabular:
     def test_basic_ingestion(self, tmp_path):
         p = self.write_csv(tmp_path / "d.csv",
                            "a,b,score\n0.0,1.0,1.0\n2.0,3.0,5.0\n4.0,5.0,2.0\n")
-        dataset, inst = bench.ingest_tabular(p, "score")
-        assert dataset.features.shape == (3, 2)
+        inst = bench.ingest_tabular(p, "score")
+        assert inst.points.shape == (3, 2)
         assert inst.optimum_index == 1
         assert inst.optimum_value == 5.0
-        assert dataset.feature_names == ("a", "b")
 
     def test_standardization_identity(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -218,7 +217,7 @@ class TestTabular:
             vals = rng.normal([10, -3, 500], [5, 0.1, 100])
             rows.append(",".join(repr(float(v)) for v in vals) + f",{rng.normal():.6f}")
         p = self.write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n")
-        _, inst = bench.ingest_tabular(p, "obj")
+        inst = bench.ingest_tabular(p, "obj")
         feats = inst.points
         assert np.all(np.abs(feats.mean(axis=0)) < 1e-10)
         np.testing.assert_allclose(feats.var(axis=0), 1.0, atol=1e-10)
@@ -252,6 +251,7 @@ class TestTabular:
             bench.ingest_tabular(p, "score")
 
     def test_too_few_rows(self, tmp_path):
-        p = self.write_csv(tmp_path / "d.csv", "a,score\n1.0,2.0\n")
-        with pytest.raises(IngestionError):
-            bench.ingest_tabular(p, "score")
+        for text in ("a,score\n1.0,2.0\n", "a,score\n"):
+            p = self.write_csv(tmp_path / "d.csv", text)
+            with pytest.raises(IngestionError, match="at least 2 rows"):
+                bench.ingest_tabular(p, "score")

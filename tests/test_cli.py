@@ -29,6 +29,16 @@ algorithms = irgp_ucb
 initial.count = 2
 """
 
+CONDITIONAL_SMALL = """
+kind = conditional_regret
+kernel.lengthscale = 0.3
+grid.count = 3
+grid.dim = 2
+horizon = 10
+n_reps = 2
+algorithms = irgp_ucb
+"""
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 COUNTEREXAMPLE_SMALL = """
@@ -464,7 +474,14 @@ class TestMainEntry:
         COUNTEREXAMPLE_SMALL.replace("20, 60", "5, 5"),
         COUNTEREXAMPLE_SMALL.replace("20, 60", "1, 2"),
         COUNTEREXAMPLE_SMALL.replace("constants = 1.0", "constants = 1, -1"),
-    ], ids=["roster_bad_delta", "equal_horizons", "short_horizons", "negative_constant"])
+        CONDITIONAL_SMALL + "conditional.delta = 0\n",
+        CONDITIONAL_SMALL.replace("algorithms = irgp_ucb", "algorithms = irgp_ucb, gp_ucb"),
+        CONDITIONAL_SMALL + "initial.count = 10\n",
+        MINIMAL_SYNTHETIC.replace("grid.count = 3\ngrid.dim = 2", "grid.count = 2\ngrid.dim = 1")
+        .replace("initial.count = 2", "initial.count = 5"),
+    ], ids=["roster_bad_delta", "equal_horizons", "short_horizons", "negative_constant",
+            "conditional_zero_delta", "conditional_two_algorithms",
+            "conditional_oversized_initial_design", "oversized_initial_design"])
     def test_unusable_parameter_fails_before_any_result_file(self, tmp_path, text):
         cfg_file = tmp_path / "exp.txt"
         cfg_file.write_text(text, encoding="utf-8")

@@ -382,7 +382,7 @@ class TestSamplePathRoute:
         def prior(kernel):
             if exact:
                 K = gp.kernel_matrix(kernel, instance.points)
-                return gp._jittered_cholesky(K, float(np.max(np.diagonal(K))))
+                return gp.cholesky(K, float(np.max(np.diagonal(K))), "prior Gram")
             return build_rff(kernel, cfg.acquisition.num_features, feat_rng)
 
         features = prior(cfg.kernel)

@@ -413,6 +413,25 @@ class TestJitterEscalation:
             assert str(caught[0].message) == (
                 "prior Gram of 200 points needed diagonal jitter 1.0e-08 to factorize")
 
+    def test_observation_gram_escalates_like_a_pivot(self, require_jitter):
+        # A refit on near-coincident inputs with noise far below roundoff:
+        # the Gram is tried without jitter first, then escalated and reported.
+        kernel, X, noise = se_kernel(ell=10.0), self.NEAR_COINCIDENT[:20], 1e-12
+        cholesky = require_jitter(1e-8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state = gp.batch_state(kernel, X, np.zeros(20), noise)
+        assert [str(w.message) for w in caught] == [
+            "observation Gram of 20 points needed diagonal jitter 1.0e-08 to factorize"]
+        K = gp.kernel_matrix(kernel, X) + noise * np.eye(20)
+        np.testing.assert_array_equal(state.chol, cholesky(K + 1e-8 * np.eye(20)))
+
+    def test_observation_gram_without_jitter_is_the_plain_factor(self):
+        kernel, X = se_kernel(dim=2), np.random.default_rng(1).random((15, 2))
+        state = gp.batch_state(kernel, X, np.zeros(15), 1e-2)
+        K = gp.kernel_matrix(kernel, X) + 1e-2 * np.eye(15)
+        np.testing.assert_array_equal(state.chol, np.linalg.cholesky(K))
+
     @pytest.mark.usefixtures("fresh_prior_cache")
     def test_paper_grid_factorizes_silently_at_start_jitter(self):
         # Any escalation past JITTER_START warns, so silence means the
