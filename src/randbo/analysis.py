@@ -4,7 +4,9 @@ verification harnesses.
 Covers: summary statistics over replicated traces (the expected-regret
 estimate), the conditional expected regret estimator, realized information
 gain of a selected point set, the family of closed-form cumulative-regret
-bounds for randomized and deterministic confidence schedules, tail-bound
+bounds for randomized and deterministic confidence schedules (each bound
+takes its shift or mean from the schedule class in ``confidence``, so a
+schedule's formula and domain checks exist only there), tail-bound
 helpers (Gaussian survival, chi-square upper quantile), a Monte-Carlo check
 of the optimum-value inequality that drives the randomized-UCB analysis,
 the two-point problem instance on which constant-confidence UCB earns
@@ -20,7 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gp
-from .confidence import RATE, Replay, beta_deterministic, shift_continuous, shift_finite
+from .confidence import (RATE, Replay, ShiftedExpContinuous, ShiftedExpFinite,
+                         ShiftedExpHighProb)
 from .engine import BoTrace, FiniteInstance, RunConfig, run_replications
 from .errors import ConfigurationError
 from .rng import as_generator
@@ -191,22 +194,25 @@ def bcr_bound_finite(T: int, domain_size: int, noise_variance: float,
     """Expected-regret bound sqrt(C1 C2 T gamma) for the constant-shift schedule.
 
     C1 = 2/log(1 + 1/sigma^2) converts summed posterior variances into
-    information gain; C2 = 2 + 2 log(|X|/2) is the constant confidence mean.
+    information gain; C2 = 2 + 2 log(|X|/2) is the constant-shift schedule's mean.
     """
     if T < 1 or gamma < 0:
         raise ConfigurationError("need T >= 1 and gamma >= 0")
-    c2 = 2.0 + shift_finite(domain_size)
+    c2 = ShiftedExpFinite(domain_size).mean(T)
     return math.sqrt(_width_constant(noise_variance) * c2 * T * gamma)
 
 
 def bcr_bound_continuous(T: int, a: float, b: float, r: float, d: int,
                          noise_variance: float, gamma: float) -> float:
-    """Expected-regret bound pi^2/6 + sqrt(C1 T gamma (2 + s_T)) for continuous domains."""
+    """Expected-regret bound pi^2/6 + sqrt(C1 T gamma (2 + s_T)) for continuous domains.
+
+    2 + s_T is the continuous-shift schedule's mean at iteration T.
+    """
     if T < 1 or gamma < 0:
         raise ConfigurationError("need T >= 1 and gamma >= 0")
-    s_T = shift_continuous(a, b, r, d, T)
+    mean_T = ShiftedExpContinuous(a, b, r, d).mean(T)
     return math.pi**2 / 6.0 + math.sqrt(
-        _width_constant(noise_variance) * T * gamma * (2.0 + s_T)
+        _width_constant(noise_variance) * T * gamma * mean_T
     )
 
 
@@ -248,7 +254,7 @@ def high_prob_bound(T: int, delta: float, domain_size: int, noise_variance: floa
     if gamma < 0:
         raise ConfigurationError("gamma must be >= 0")
     lg = _anytime_log(T, delta)
-    s_T = beta_deterministic(domain_size, T, delta)
+    s_T = ShiftedExpHighProb(domain_size, delta).shift(T)
     root_tl = math.sqrt(T * lg)
     return 2.0 * math.sqrt(
         _width_constant(noise_variance) * gamma * (T * s_T + T + 2.0 * root_tl + 2.0 * lg)

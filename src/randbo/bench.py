@@ -215,8 +215,13 @@ def ingest_tabular(path, objective_column: str) -> FiniteInstance:
     feature. The instance's points are the features standardized for
     kernel distances.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as err:
+        raise IngestionError(f"{path}: cannot read: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise IngestionError(f"{path}: cannot read as UTF-8: byte {err.start} is invalid") from None
     if not rows:
         raise IngestionError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]

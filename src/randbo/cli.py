@@ -51,7 +51,10 @@ from .rng import substream
 
 CHECK_FAILED = 4
 
-# substream tags local to experiment orchestration
+# substream tags local to experiment orchestration. Confidence sequence k
+# draws from key (k, _ZETA_SEQUENCES): a replication's keys are (rep,
+# purpose) with an engine purpose tag below 100, so no replication
+# requests it, whatever the replication count.
 _ZETA_SEQUENCES = 100
 _LEMMA_SWEEP = 101
 
@@ -303,7 +306,7 @@ def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], in
     outputs: list[str] = []
     cond_means = []
     for k in range(config["conditional.n_sequences"]):
-        rng = substream(config.base_seed, _ZETA_SEQUENCES, k)
+        rng = substream(config.base_seed, k, _ZETA_SEQUENCES)
         zeta = np.array([
             confidence.next_confidence(schedule, t, rng)
             for t in range(1, config.horizon + 1)
@@ -431,7 +434,7 @@ def _run_bound_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], in
                 "expected_regret_bound_continuous",
                 {**inputs, "a": a, "b": b, "r": r, "dim": d},
                 analysis.bcr_bound_continuous(T, a, b, r, d, s2, gamma)))
-            s_T = confidence.shift_finite(m)
+            s_T = confidence.ShiftedExpFinite(m).shift(T)
             reports.append(analysis.BoundReport(
                 "conditional_regret_bound", {**inputs, "s_T": s_T},
                 analysis.conditional_bound_U(T, delta, s_T, s2, gamma)))

@@ -1,17 +1,16 @@
 """Confidence-parameter schedules for UCB acquisition.
 
-Each schedule class defines ``shift(t)``, the deterministic part of
-iteration t's value, and inherits ``draw(t, rng)``, ``mean(t)`` and
-``quantile(t, q)`` from one of two bases: ``PointMass`` for the
-deterministic widths (anytime, constant, heuristic, and a replayed
-sequence), whose value is the shift, and ``ShiftedExp`` for the shift plus
-an exponential of rate 1/2 (finite, continuous, anytime high-probability
-and heuristic shifts). The Gamma-randomized width defines its own three;
-its quantile is the inverse regularized lower incomplete gamma function
-(``scipy.special.gammaincinv``) times the scale, the same double that
-``scipy.stats.gamma.ppf`` returns, so importing this module does not load
-``scipy.stats``. Every randomized draw advances the generator exactly
-once, so a fixed generator state maps one-to-one onto a draw sequence.
+Each schedule is a frozen dataclass on the one base ``Schedule``: it writes
+its formula once, as ``shift(t)``, and checks its parameters once, when
+built. The base derives ``draw(t, rng)``, ``mean(t)`` and ``quantile(t, q)``
+from the shift: a point mass there for the deterministic widths, the shift
+plus Exp(``RATE``) for the classes that set ``randomized``. The
+Gamma-randomized width has no shift and defines its own three from
+``shape(t)``; its quantile is ``scipy.special.gammaincinv`` times the scale,
+the same double as ``scipy.stats.gamma.ppf``, without loading
+``scipy.stats``. The regret bounds in ``analysis`` read their shifts from
+these classes. Every randomized draw advances the generator exactly once,
+so a fixed generator state maps one-to-one onto a draw sequence.
 """
 
 from __future__ import annotations
@@ -25,88 +24,6 @@ from scipy.special import gammaincinv
 from .errors import ConfigurationError
 from .rng import as_generator
 
-
-def sample_shifted_exponential(s: float, lam: float, rng) -> float:
-    """Draw s + Z with Z exponential of rate ``lam`` by inverse transform.
-
-    Consumes exactly one uniform; the result is never below s.
-    """
-    if not lam > 0:
-        raise ConfigurationError("rate parameter must be positive")
-    # 1 - random() lies in (0, 1], keeping the log finite.
-    u = 1.0 - as_generator(rng).random()
-    return s - math.log(u) / lam
-
-
-def shift_finite(domain_size: int) -> float:
-    """Constant shift 2 log(|X| / 2) for a finite domain of |X| >= 2 points."""
-    if domain_size < 2:
-        raise ConfigurationError(
-            "shifted-exponential schedule needs a domain of at least 2 points"
-        )
-    return 2.0 * math.log(domain_size / 2.0)
-
-
-def shift_continuous(a: float, b: float, r: float, d: int, t: int) -> float:
-    """Iteration-t shift for a continuous domain under the smoothness constants.
-
-    2 d log(b d r t^2 (sqrt(log(a d)) + sqrt(pi)/2)) - 2 log 2; monotone
-    non-decreasing in t.
-    """
-    if not (a > 0 and b > 0 and r > 0):
-        raise ConfigurationError("smoothness constants a, b, r must be positive")
-    if d < 1:
-        raise ConfigurationError("dimension d must be >= 1")
-    if a * d <= 1.0:
-        raise ConfigurationError("need a*d > 1 so sqrt(log(a d)) is defined")
-    if t < 1:
-        raise ConfigurationError("iteration index must be >= 1")
-    inner = b * d * r * t * t * (math.sqrt(math.log(a * d)) + math.sqrt(math.pi) / 2.0)
-    if inner <= 0:
-        raise ConfigurationError("shift argument must be positive")
-    return 2.0 * d * math.log(inner) - 2.0 * math.log(2.0)
-
-
-def beta_deterministic(domain_size: int, t: int, delta: float) -> float:
-    """Anytime union-bound width 2 log(|X| t^2 pi^2 / (6 delta))."""
-    if domain_size < 1:
-        raise ConfigurationError("domain_size must be >= 1")
-    if t < 1:
-        raise ConfigurationError("iteration index must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError("delta must lie in (0, 1)")
-    return 2.0 * math.log(domain_size * t * t * math.pi**2 / (6.0 * delta))
-
-
-def gamma_shape(domain_size: int, t: int) -> float:
-    """Gamma shape log(|X| t^2) / log(1.5) for the Gamma-randomized schedule."""
-    if t < 1:
-        raise ConfigurationError("iteration index must be >= 1")
-    kappa = math.log(domain_size * t * t) / math.log(1.5)
-    if kappa <= 0:
-        raise ConfigurationError("Gamma shape requires |X| t^2 > 1")
-    return kappa
-
-
-def sample_gamma_confidence(domain_size: int, t: int, theta: float, rng) -> float:
-    """Draw from Gamma(shape log(|X| t^2)/log 1.5, scale theta)."""
-    if not theta > 0:
-        raise ConfigurationError("theta must be positive")
-    kappa = gamma_shape(domain_size, t)
-    return float(as_generator(rng).gamma(shape=kappa, scale=theta))
-
-
-def heuristic_beta(d: int, t: int) -> float:
-    """Benchmark heuristic width 0.2 d log(2 t)."""
-    if t < 1:
-        raise ConfigurationError("iteration index must be >= 1")
-    return 0.2 * d * math.log(2.0 * t)
-
-
-# ---------------------------------------------------------------------------
-# Schedule variants
-# ---------------------------------------------------------------------------
-
 RATE = 0.5  # exponential rate shared by every shifted-exponential variant
 
 
@@ -115,52 +32,39 @@ def _check_level(q: float) -> None:
         raise ConfigurationError("quantile level must lie in (0, 1)")
 
 
-class PointMass:
-    """Deterministic schedule: iteration t's value is ``shift(t)``.
+class Schedule:
+    """Iteration t's value is ``shift(t)``, plus Z ~ Exp(``RATE``) when
+    the class sets ``randomized``.
 
-    Draws leave the generator untouched, and every quantile equals the mean.
+    A deterministic draw leaves the generator untouched and every quantile
+    equals the mean. A randomized draw consumes exactly one uniform, by
+    inverse transform, and is never below the shift.
     """
 
     randomized = False
 
-    def __post_init__(self):
-        self.shift(1)  # out-of-range parameters fail at construction
+    def shift(self, t: int) -> float:
+        raise NotImplementedError
 
     def draw(self, t: int, rng) -> float:
-        return self.shift(t)
+        s = self.shift(t)
+        if not self.randomized:
+            return s
+        # 1 - random() lies in (0, 1], keeping the log finite.
+        return s - math.log(1.0 - as_generator(rng).random()) / RATE
 
     def mean(self, t: int) -> float:
-        return self.shift(t)
+        s = self.shift(t)
+        return s + 1.0 / RATE if self.randomized else s
 
     def quantile(self, t: int, q: float) -> float:
         _check_level(q)
-        return self.shift(t)
-
-
-class ShiftedExp:
-    """Randomized schedule ``shift(t) + Z``, Z exponential of rate ``RATE``.
-
-    Each draw consumes exactly one uniform and is never below the shift.
-    """
-
-    randomized = True
-
-    def __post_init__(self):
-        self.shift(1)  # out-of-range parameters fail at construction
-
-    def draw(self, t: int, rng) -> float:
-        return sample_shifted_exponential(self.shift(t), RATE, rng)
-
-    def mean(self, t: int) -> float:
-        return self.shift(t) + 1.0 / RATE
-
-    def quantile(self, t: int, q: float) -> float:
-        _check_level(q)
-        return self.shift(t) - math.log(1.0 - q) / RATE
+        s = self.shift(t)
+        return s - math.log(1.0 - q) / RATE if self.randomized else s
 
 
 @dataclass(frozen=True)
-class Constant(PointMass):
+class Constant(Schedule):
     """Fixed confidence value for every iteration."""
 
     c: float
@@ -174,19 +78,32 @@ class Constant(PointMass):
 
 
 @dataclass(frozen=True)
-class DeterministicUcb(PointMass):
-    """Deterministic anytime width, growing like log t."""
+class DeterministicUcb(Schedule):
+    """Anytime union-bound width 2 log(|X| t^2 pi^2 / (6 delta)), growing like log t."""
 
     domain_size: int
     delta: float
 
+    def __post_init__(self):
+        if self.domain_size < 1:
+            raise ConfigurationError("domain_size must be >= 1")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigurationError("delta must lie in (0, 1)")
+
     def shift(self, t: int) -> float:
-        return beta_deterministic(self.domain_size, t, self.delta)
+        return 2.0 * math.log(self.domain_size * t * t * math.pi**2 / (6.0 * self.delta))
 
 
 @dataclass(frozen=True)
-class HeuristicUcb(PointMass):
-    """Deterministic heuristic 0.2 d log(2 t)."""
+class ShiftedExpHighProb(DeterministicUcb):
+    """Shifted exponential whose shift is the anytime width, rate 1/2."""
+
+    randomized = True
+
+
+@dataclass(frozen=True)
+class _DimensionScaled(Schedule):
+    """A heuristic whose only parameter is the dimension d >= 1."""
 
     d: int
 
@@ -194,12 +111,17 @@ class HeuristicUcb(PointMass):
         if self.d < 1:
             raise ConfigurationError("dimension d must be >= 1")
 
+
+@dataclass(frozen=True)
+class HeuristicUcb(_DimensionScaled):
+    """Deterministic heuristic 0.2 d log(2 t)."""
+
     def shift(self, t: int) -> float:
-        return heuristic_beta(self.d, t)
+        return 0.2 * self.d * math.log(2.0 * t)
 
 
 @dataclass(frozen=True)
-class Replay(PointMass):
+class Replay(Schedule):
     """A fixed confidence sequence: iteration t takes ``values[t - 1]``.
 
     Replaying one realization of a randomized schedule conditions regret
@@ -224,7 +146,7 @@ class Replay(PointMass):
 
 
 @dataclass(frozen=True)
-class ShiftedExpFinite(ShiftedExp):
+class ShiftedExpFinite(Schedule):
     """Shifted exponential with constant shift 2 log(|X|/2) and rate 1/2.
 
     Rejected for |X| < 2 rather than clamped: the shift would be negative
@@ -233,51 +155,64 @@ class ShiftedExpFinite(ShiftedExp):
 
     domain_size: int
 
+    randomized = True
+
+    def __post_init__(self):
+        if self.domain_size < 2:
+            raise ConfigurationError(
+                "shifted-exponential schedule needs a domain of at least 2 points"
+            )
+
     def shift(self, t: int) -> float:
-        return shift_finite(self.domain_size)
+        return 2.0 * math.log(self.domain_size / 2.0)
 
 
 @dataclass(frozen=True)
-class ShiftedExpContinuous(ShiftedExp):
-    """Shifted exponential with the smoothness-constant shift, rate 1/2."""
+class ShiftedExpContinuous(Schedule):
+    """Shifted exponential with the smoothness-constant shift, rate 1/2.
+
+    The shift 2 d log(b d r t^2 (sqrt(log(a d)) + sqrt(pi)/2)) - 2 log 2 is
+    monotone non-decreasing in t.
+    """
 
     a: float
     b: float
     r: float
     d: int
 
-    def shift(self, t: int) -> float:
-        return shift_continuous(self.a, self.b, self.r, self.d, t)
-
-
-@dataclass(frozen=True)
-class ShiftedExpHighProb(ShiftedExp):
-    """Shifted exponential whose shift is the anytime width, rate 1/2."""
-
-    domain_size: int
-    delta: float
-
-    def shift(self, t: int) -> float:
-        return beta_deterministic(self.domain_size, t, self.delta)
-
-
-@dataclass(frozen=True)
-class HeuristicShiftedExp(ShiftedExp):
-    """Shifted exponential with shift d/2 and rate 1/2."""
-
-    d: int
+    randomized = True
 
     def __post_init__(self):
+        if not (self.a > 0 and self.b > 0 and self.r > 0):
+            raise ConfigurationError("smoothness constants a, b, r must be positive")
         if self.d < 1:
             raise ConfigurationError("dimension d must be >= 1")
+        if self.a * self.d <= 1.0:
+            raise ConfigurationError("need a*d > 1 so sqrt(log(a d)) is defined")
+        try:  # the log's argument grows with t, so t = 1 is its smallest
+            self.shift(1)
+        except ValueError:  # b d r underflowed to zero
+            raise ConfigurationError("shift argument must be positive") from None
+
+    def shift(self, t: int) -> float:
+        a, b, r, d = self.a, self.b, self.r, self.d
+        inner = b * d * r * t * t * (math.sqrt(math.log(a * d)) + math.sqrt(math.pi) / 2.0)
+        return 2.0 * d * math.log(inner) - 2.0 * math.log(2.0)
+
+
+@dataclass(frozen=True)
+class HeuristicShiftedExp(_DimensionScaled):
+    """Shifted exponential with shift d/2 and rate 1/2."""
+
+    randomized = True
 
     def shift(self, t: int) -> float:
         return self.d / 2.0
 
 
 @dataclass(frozen=True)
-class GammaRandomized:
-    """Gamma-distributed confidence with iteration-growing shape.
+class GammaRandomized(Schedule):
+    """Gamma(``shape(t)``, scale theta) confidence with iteration-growing shape.
 
     It has no deterministic component, so its shift is zero.
     """
@@ -288,20 +223,24 @@ class GammaRandomized:
     randomized = True
 
     def __post_init__(self):
-        if self.domain_size < 1:
-            raise ConfigurationError("domain_size must be >= 1")
+        # The shape is positive for every t >= 1 exactly when |X| >= 2.
+        if self.domain_size < 2:
+            raise ConfigurationError("Gamma shape requires |X| t^2 > 1, so |X| >= 2")
         if not self.theta > 0:
             raise ConfigurationError("theta must be positive")
-        gamma_shape(self.domain_size, 1)  # fail early on |X| = 1
+
+    def shape(self, t: int) -> float:
+        """Gamma shape log(|X| t^2) / log(1.5)."""
+        return math.log(self.domain_size * t * t) / math.log(1.5)
 
     def shift(self, t: int) -> float:
         return 0.0
 
     def draw(self, t: int, rng) -> float:
-        return sample_gamma_confidence(self.domain_size, t, self.theta, rng)
+        return float(as_generator(rng).gamma(shape=self.shape(t), scale=self.theta))
 
     def mean(self, t: int) -> float:
-        return self.theta * gamma_shape(self.domain_size, t)
+        return self.theta * self.shape(t)
 
     def quantile(self, t: int, q: float) -> float:
         """The level-q quantile theta P^-1(kappa_t, q) of Gamma(kappa_t, theta).
@@ -312,13 +251,10 @@ class GammaRandomized:
         be most of the package's start-up time.
         """
         _check_level(q)
-        return float(gammaincinv(gamma_shape(self.domain_size, t), q) * self.theta)
+        return float(gammaincinv(self.shape(t), q) * self.theta)
 
 
-ConfidenceSchedule = PointMass | ShiftedExp | GammaRandomized
-
-
-def next_confidence(schedule: ConfidenceSchedule, t: int, rng) -> float:
+def next_confidence(schedule: Schedule, t: int, rng) -> float:
     """Produce iteration t's confidence parameter.
 
     Deterministic variants ignore the generator; randomized ones advance it

@@ -144,7 +144,7 @@ SCHEMA: dict[str, _Key] = {
         _Key("kind", "str", choices=KINDS),
         _Key("horizon", "int", default=200, minimum=1),
         _Key("n_reps", "int", default=100, minimum=1),
-        _Key("base_seed", "int", default=0),
+        _Key("base_seed", "int", default=0, minimum=0),
         _Key("n_jobs", "int", default=1, minimum=1),
         _Key("output", "str", default=None),
         _Key("overwrite", "bool", default=False),

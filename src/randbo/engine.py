@@ -72,7 +72,7 @@ from .acquisition import (
     sample_posterior_path,
     ucb_scores,
 )
-from .confidence import ConfidenceSchedule, next_confidence
+from .confidence import Schedule, next_confidence
 from .errors import ConfigurationError, NumericalError, RandboError
 from .rng import (
     CANDIDATES,
@@ -221,7 +221,7 @@ class RunConfig:
     kernel: gp.Kernel
     horizon: int
     acquisition: AcquisitionSpec = AcquisitionSpec()
-    schedule: ConfidenceSchedule | None = None
+    schedule: Schedule | None = None
     noise_variance: float = 1e-4
     initial_design: int | Sequence | None = None
     refit_period: int | None = None

@@ -8,7 +8,7 @@ import pytest
 
 from randbo import analysis as an
 from randbo import gp
-from randbo.confidence import Replay, ShiftedExpFinite, shift_continuous
+from randbo.confidence import Replay, ShiftedExpContinuous, ShiftedExpFinite
 from randbo.engine import (
     BoTrace,
     FiniteInstance,
@@ -225,7 +225,7 @@ class TestBoundCalculators:
 
     def test_continuous_reference_value(self):
         got = an.bcr_bound_continuous(100, 1.0, 1.0, 1.0, 2, 1.0, 10.0)
-        s_T = shift_continuous(1.0, 1.0, 1.0, 2, 100)
+        s_T = ShiftedExpContinuous(1.0, 1.0, 1.0, 2).shift(100)
         want = math.pi**2 / 6 + math.sqrt((2 / math.log(2)) * 100 * 10 * (2 + s_T))
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(351.0, abs=1.0)  # 3 significant figures

@@ -245,6 +245,15 @@ class TestTabular:
         msg = str(err.value)
         assert "line 3" in msg and "'b'" in msg and "nan" in msg
 
+    @pytest.mark.parametrize("name", ["absent.csv", ".", "latin1.csv"],
+                             ids=["missing", "directory", "not_utf8"])
+    def test_unreadable_path_named(self, tmp_path, name):
+        (tmp_path / "latin1.csv").write_bytes("a,score\n1.0,2.0\n\xe9,3.0\n".encode("latin-1"))
+        path = tmp_path / name
+        with pytest.raises(IngestionError, match="cannot read") as err:
+            bench.ingest_tabular(path, "score")
+        assert str(path) in str(err.value)
+
     def test_unknown_objective_column(self, tmp_path):
         p = self.write_csv(tmp_path / "d.csv", "a,b\n1.0,2.0\n3.0,4.0\n")
         with pytest.raises(IngestionError):

@@ -5,9 +5,13 @@ listed in its ``TARGETS``, and ``perfbench/study.py`` swaps
 ``engine._run_one`` and ``cli.run_replications``, labelling each
 ``run_replications`` call with the next configured algorithm. A function
 renamed or moved out of one of those modules would drop out of traced runs
-without any error, so these tests pin the names.
+without any error, so these tests pin the names. Every name a
+``perfbench/*.py`` file imports from ``randbo`` or reads off something it
+imported from there must resolve too, or the benchmark fails to start.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -18,7 +22,8 @@ from randbo import cli, engine
 from randbo.confidence import DeterministicUcb
 from randbo.config import parse_text
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_traced_names_resolve():
@@ -60,3 +65,50 @@ def test_roster_calls_run_replications_per_algorithm_in_order(problem, tmp_path,
     monkeypatch.setattr(cli, "run_replications", recording)
     assert cli.run_experiment(config, tmp_path / "out") == 0
     assert calls == [("ei", type(None)), ("ucb", DeterministicUcb)]
+
+
+def _import(module: str, name: str):
+    """``from module import name``: an attribute, else a submodule."""
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def _randbo_names(path: Path) -> dict[str, bool]:
+    """Each name the file imports from ``randbo`` and each attribute it reads
+    off a name so bound (``module.name`` or ``module.name.attr``), mapped to
+    whether it resolves."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "randbo":
+                    local = alias.asname or alias.name.split(".")[0]
+                    bound[local] = (local, importlib.import_module(local))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "randbo":
+            for alias in node.names:
+                label = f"{node.module}.{alias.name}"
+                try:
+                    bound[alias.asname or alias.name] = (label, _import(node.module, alias.name))
+                    names[label] = True
+                except (ImportError, AttributeError):
+                    names[label] = False
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in bound):
+            label, owner = bound[node.value.id]
+            names[f"{label}.{node.attr}"] = hasattr(owner, node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_perfbench_randbo_names_resolve(path):
+    names = _randbo_names(path)
+    assert [name for name, ok in names.items() if not ok] == []
+
+
+def test_perfbench_scan_sees_imports_and_attribute_reads():
+    names = _randbo_names(PERFBENCH / "test_perfbench.py")
+    assert names["randbo.engine.RunConfig"] and names["randbo.confidence.Constant"]

@@ -393,7 +393,7 @@ class TestRunExperiment:
         assert status == 0
         [report] = json.loads((out / "bounds.json").read_text())
         inputs = report["inputs"]
-        assert inputs["s_T"] == cf.shift_continuous(2.0, 1.0, 1.0, 1, 5)
+        assert inputs["s_T"] == cf.ShiftedExpContinuous(2.0, 1.0, 1.0, 1).shift(5)
         assert inputs["gamma_certified"] == pytest.approx(
             inputs["gamma_greedy"] / (1.0 - math.exp(-1.0)), rel=1e-12)
         finite_part = an.conditional_bound_U(5, inputs["delta"], inputs["s_T"],
@@ -407,6 +407,25 @@ class TestRunExperiment:
         assert not (out / "bounds.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert "bounds.json" not in manifest["outputs"]
+
+    def test_confidence_sequences_share_no_stream_with_a_replication(
+            self, tmp_path, monkeypatch):
+        # Sequence 0 replays over replications keyed (base_seed, rep, purpose);
+        # 101 of them reach rep 100, a key that can collide with a sequence's.
+        requested = {}
+        for module in (cli, engine):
+            def recording(base_seed, *key, _real=module.substream,
+                          _keys=requested.setdefault(module.__name__, set())):
+                _keys.add((base_seed, *key))
+                return _real(base_seed, *key)
+
+            monkeypatch.setattr(module, "substream", recording)
+        text = (self.CONDITIONAL.replace("horizon = 5\nn_reps = 2", "horizon = 2\nn_reps = 101")
+                + "algorithms = irgp_ucb\nconditional.n_sequences = 2\n")
+        assert self.run_into(tmp_path, text)[2] == 0
+        zeta, replication = requested["randbo.cli"], requested["randbo.engine"]
+        assert len(zeta) == 2 and len(replication) == 2 * 101 * 7
+        assert not zeta & replication
 
 
 class TestConfidenceProfile:
@@ -458,14 +477,15 @@ class TestMainEntry:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "none.txt")]) == 2
 
-    @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--jobs", "-2"], ["--reps", "0"]],
-                             ids=["jobs_0", "jobs_negative", "reps_0"])
-    def test_override_checked_like_the_file(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, minimum", [
+        (["--jobs", "0"], 1), (["--jobs", "-2"], 1), (["--reps", "0"], 1), (["--seed", "-1"], 0),
+    ], ids=["jobs_0", "jobs_negative", "reps_0", "seed_negative"])
+    def test_override_checked_like_the_file(self, tmp_path, capsys, flag, minimum):
         cfg_file = tmp_path / "exp.txt"
         cfg_file.write_text(MINIMAL_SYNTHETIC, encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg_file), "--out", str(out), *flag]) == 2
-        assert "below the minimum 1" in capsys.readouterr().err
+        assert f"below the minimum {minimum}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [
@@ -479,9 +499,11 @@ class TestMainEntry:
         CONDITIONAL_SMALL + "initial.count = 10\n",
         MINIMAL_SYNTHETIC.replace("grid.count = 3\ngrid.dim = 2", "grid.count = 2\ngrid.dim = 1")
         .replace("initial.count = 2", "initial.count = 5"),
+        "kind = tabular\ntabular.path = no_such_dir/data.csv\ntabular.objective = y\n",
     ], ids=["roster_bad_delta", "equal_horizons", "short_horizons", "negative_constant",
             "conditional_zero_delta", "conditional_two_algorithms",
-            "conditional_oversized_initial_design", "oversized_initial_design"])
+            "conditional_oversized_initial_design", "oversized_initial_design",
+            "tabular_missing_file"])
     def test_unusable_parameter_fails_before_any_result_file(self, tmp_path, text):
         cfg_file = tmp_path / "exp.txt"
         cfg_file.write_text(text, encoding="utf-8")

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,40 +13,51 @@ from randbo import confidence as cf
 from randbo.errors import ConfigurationError
 
 
+@dataclass(frozen=True)
+class FixedShift(cf.Schedule):
+    """A randomized schedule with any fixed shift, to test the base's draw."""
+
+    s: float
+
+    randomized = True
+
+    def shift(self, t):
+        return self.s
+
+
 class TestSampleShiftedExponential:
     def test_monte_carlo_mean(self):
         rng = np.random.default_rng(42)
-        draws = np.array([cf.sample_shifted_exponential(0.0, 0.5, rng) for _ in range(100000)])
+        sched = cf.ShiftedExpFinite(2)  # shift 0
+        draws = np.array([cf.next_confidence(sched, 1, rng) for _ in range(100000)])
         assert draws.mean() == pytest.approx(2.0, abs=0.03)
 
     def test_support_lower_bound(self):
         rng = np.random.default_rng(1)
-        draws = np.array([cf.sample_shifted_exponential(3.5, 2.0, rng) for _ in range(100000)])
+        sched = cf.HeuristicShiftedExp(7)  # shift 3.5
+        draws = np.array([cf.next_confidence(sched, 1, rng) for _ in range(100000)])
         assert np.all(draws >= 3.5)
 
     def test_mean_is_shift_plus_two_at_half_rate(self):
         rng = np.random.default_rng(7)
         s = 12.4
-        draws = np.array([cf.sample_shifted_exponential(s, 0.5, rng) for _ in range(100000)])
+        sched = FixedShift(s)
+        draws = np.array([cf.next_confidence(sched, 1, rng) for _ in range(100000)])
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - (s + 2.0)) < 3 * se
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            cf.sample_shifted_exponential(0.0, 0.0, np.random.default_rng(0))
 
 
 class TestShiftFinite:
     def test_thousand_points(self):
-        assert cf.shift_finite(1000) == pytest.approx(2 * math.log(500), abs=1e-12)
-        assert cf.shift_finite(1000) == pytest.approx(12.42922, abs=1e-5)
+        assert cf.ShiftedExpFinite(1000).shift(1) == pytest.approx(2 * math.log(500), abs=1e-12)
+        assert cf.ShiftedExpFinite(1000).shift(1) == pytest.approx(12.42922, abs=1e-5)
 
     def test_two_points_zero_shift(self):
-        assert cf.shift_finite(2) == 0.0
+        assert cf.ShiftedExpFinite(2).shift(1) == 0.0
 
     def test_below_two_rejected(self):
         with pytest.raises(ConfigurationError):
-            cf.shift_finite(1)
+            cf.ShiftedExpFinite(1)
 
     def test_mean_constant_in_iteration(self):
         sched = cf.ShiftedExpFinite(1000)
@@ -56,38 +69,41 @@ class TestShiftContinuous:
     def test_closed_form_value(self):
         # independent evaluation: 4 ln(2 (sqrt(ln 2) + sqrt(pi)/2)) - 2 ln 2
         want = 4 * math.log(2 * (math.sqrt(math.log(2)) + math.sqrt(math.pi) / 2)) - 2 * math.log(2)
-        assert cf.shift_continuous(1, 1, 1, 2, 1) == pytest.approx(want, abs=1e-12)
+        assert cf.ShiftedExpContinuous(1, 1, 1, 2).shift(1) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(3.5528, abs=1e-4)
 
     def test_doubling_t_increment(self):
         for a, b, r, d in [(1, 1, 1, 2), (2, 0.5, 3, 1), (1.5, 2, 1, 4)]:
-            diff = cf.shift_continuous(a, b, r, d, 2) - cf.shift_continuous(a, b, r, d, 1)
+            sched = cf.ShiftedExpContinuous(a, b, r, d)
+            diff = sched.shift(2) - sched.shift(1)
             assert diff == pytest.approx(4 * d * math.log(2), rel=1e-12)
 
     def test_monotone_in_t(self):
-        vals = [cf.shift_continuous(1, 1, 1, 2, t) for t in range(1, 101)]
+        sched = cf.ShiftedExpContinuous(1, 1, 1, 2)
+        vals = [sched.shift(t) for t in range(1, 101)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_ad_at_most_one_rejected(self):
         with pytest.raises(ConfigurationError):
-            cf.shift_continuous(1, 1, 1, 1, 1)  # a*d = 1
+            cf.ShiftedExpContinuous(1, 1, 1, 1)  # a*d = 1
         with pytest.raises(ConfigurationError):
-            cf.shift_continuous(0.5, 1, 1, 1, 1)
+            cf.ShiftedExpContinuous(0.5, 1, 1, 1)
 
 
 class TestBetaDeterministic:
     def test_reference_value(self):
         want = 2 * math.log(1000 * math.pi**2 / 0.6)
-        assert cf.beta_deterministic(1000, 1, 0.1) == pytest.approx(want, abs=1e-12)
+        assert cf.DeterministicUcb(1000, 0.1).shift(1) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(19.416, abs=1e-3)
 
     def test_doubling_t(self):
+        sched = cf.DeterministicUcb(50, 0.2)
         for t in (1, 3, 10):
-            diff = cf.beta_deterministic(50, 2 * t, 0.2) - cf.beta_deterministic(50, t, 0.2)
+            diff = sched.shift(2 * t) - sched.shift(t)
             assert diff == pytest.approx(2 * math.log(4), rel=1e-12)
 
     def test_delta_near_one_single_point(self):
-        val = cf.beta_deterministic(1, 1, 1 - 1e-12)
+        val = cf.DeterministicUcb(1, 1 - 1e-12).shift(1)
         assert val == pytest.approx(2 * math.log(math.pi**2 / 6), abs=1e-6)
         assert val == pytest.approx(0.9954, abs=1e-4)
 
@@ -95,29 +111,31 @@ class TestBetaDeterministic:
 class TestGammaConfidence:
     def test_monte_carlo_mean(self):
         rng = np.random.default_rng(42)
-        draws = np.array([cf.sample_gamma_confidence(1000, 1, 1.0, rng) for _ in range(100000)])
+        sched = cf.GammaRandomized(1000, 1.0)
+        draws = np.array([cf.next_confidence(sched, 1, rng) for _ in range(100000)])
         assert draws.mean() == pytest.approx(math.log(1000) / math.log(1.5), abs=0.2)
 
     def test_positivity(self):
         rng = np.random.default_rng(0)
-        draws = np.array([cf.sample_gamma_confidence(10, 2, 0.5, rng) for _ in range(10000)])
+        sched = cf.GammaRandomized(10, 0.5)
+        draws = np.array([cf.next_confidence(sched, 2, rng) for _ in range(10000)])
         assert np.all(draws > 0)
 
     def test_shape_formula(self):
         for t in (1, 10, 100):
             want = (math.log(27) + 2 * math.log(t)) / math.log(1.5)
-            assert cf.gamma_shape(27, t) == pytest.approx(want, rel=1e-12)
+            assert cf.GammaRandomized(27).shape(t) == pytest.approx(want, rel=1e-12)
 
     def test_domain_one_first_iteration_rejected(self):
         with pytest.raises(ConfigurationError):
-            cf.sample_gamma_confidence(1, 1, 1.0, np.random.default_rng(0))
+            cf.GammaRandomized(1, 1.0)
 
 
 class TestHeuristics:
     def test_values(self):
-        assert cf.heuristic_beta(2, 1) == pytest.approx(0.4 * math.log(2), abs=1e-12)
-        assert cf.heuristic_beta(4, 50) == pytest.approx(0.8 * math.log(100), abs=1e-12)
-        assert cf.heuristic_beta(4, 50) == pytest.approx(3.684, abs=1e-3)
+        assert cf.HeuristicUcb(2).shift(1) == pytest.approx(0.4 * math.log(2), abs=1e-12)
+        assert cf.HeuristicUcb(4).shift(50) == pytest.approx(0.8 * math.log(100), abs=1e-12)
+        assert cf.HeuristicUcb(4).shift(50) == pytest.approx(3.684, abs=1e-3)
 
     def test_shifted_exp_companion_mean(self):
         sched = cf.HeuristicShiftedExp(d=3)
@@ -179,9 +197,9 @@ class TestScheduleDistributions:
         n = 100000
         cases = [
             (cf.ShiftedExpFinite(1000), 4, 2 * math.log(500) + 2),
-            (cf.ShiftedExpHighProb(100, 0.1), 2, cf.beta_deterministic(100, 2, 0.1) + 2),
+            (cf.ShiftedExpHighProb(100, 0.1), 2, 2 * math.log(100 * 4 * math.pi**2 / 0.6) + 2),
             (cf.HeuristicShiftedExp(4), 9, 4.0),
-            (cf.GammaRandomized(100, 2.0), 3, 2.0 * cf.gamma_shape(100, 3)),
+            (cf.GammaRandomized(100, 2.0), 3, 2.0 * math.log(100 * 9) / math.log(1.5)),
         ]
         for sched, t, want in cases:
             rng = np.random.default_rng(42)
@@ -227,8 +245,9 @@ class TestScheduleQuantiles:
         for size, t, q, theta in itertools.product(
                 [2, 25, 1000, 10**6], [1, 7, 200, 10**5],
                 [1e-6, 0.025, 0.5, 0.975, 1 - 1e-6], thetas):
-            want = float(gamma.ppf(q, cf.gamma_shape(size, t), scale=theta))
-            assert cf.GammaRandomized(size, theta).quantile(t, q) == want, (size, t, q, theta)
+            sched = cf.GammaRandomized(size, theta)
+            want = float(gamma.ppf(q, sched.shape(t), scale=theta))
+            assert sched.quantile(t, q) == want, (size, t, q, theta)
 
     def test_empirical_coverage(self):
         sched = cf.ShiftedExpFinite(30)
@@ -257,11 +276,14 @@ DETERMINISTIC = [pytest.param(s, id=n) for n, s in CONTRACT if not s.randomized]
 RANDOMIZED = [pytest.param(s, id=n) for n, s in CONTRACT if s.randomized]
 
 
-def _one_sampler_call(sched, t, rng):
-    """Iteration t's draw as one direct call of the sampler behind ``sched``."""
-    if isinstance(sched, cf.GammaRandomized):
-        return cf.sample_gamma_confidence(sched.domain_size, t, sched.theta, rng)
-    return cf.sample_shifted_exponential(sched.shift(t), cf.RATE, rng)
+def _twin_draw(name, sched, t, twin):
+    """Iteration t's draw rebuilt on a twin generator without the schedule's
+    draw code: one Gamma variate of shape log(50 t^2)/log 1.5 and scale 1
+    (the contract's |X| and default theta) for ``rgp_ucb``, and the shift
+    plus an inverse-transform Exp(1/2) of one uniform for the others."""
+    if name == "rgp_ucb":
+        return float(twin.gamma(shape=math.log(50 * t * t) / math.log(1.5), scale=1.0))
+    return sched.shift(t) - math.log(1.0 - twin.random()) / 0.5
 
 
 class TestScheduleContract:
@@ -280,15 +302,25 @@ class TestScheduleContract:
             assert sched.quantile(t, 0.025) == s and sched.quantile(t, 0.975) == s
         assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("sched", RANDOMIZED)
-    def test_randomized_advances_rng_once(self, sched):
+    @pytest.mark.parametrize("name, sched",
+                             [pytest.param(n, s, id=n) for n, s in CONTRACT if s.randomized])
+    def test_randomized_advances_rng_once(self, name, sched):
         for t in (1, 4):
-            rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+            rng, twin = np.random.default_rng(11), np.random.default_rng(11)
             before = rng.bit_generator.state
             value = cf.next_confidence(sched, t, rng)
-            assert value == _one_sampler_call(sched, t, ref)
-            assert rng.bit_generator.state == ref.bit_generator.state != before
+            assert value == _twin_draw(name, sched, t, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state != before
             assert value >= sched.shift(t)
+
+    @pytest.mark.parametrize("sched", DETERMINISTIC + RANDOMIZED)
+    def test_pickle_round_trip(self, sched):
+        # --jobs sends each schedule to its worker processes by pickle.
+        copy = pickle.loads(pickle.dumps(sched))
+        assert copy == sched and type(copy) is type(sched)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for t in range(1, 6):
+            assert cf.next_confidence(copy, t, a) == cf.next_confidence(sched, t, b)
 
     @pytest.mark.parametrize("sched", RANDOMIZED)
     def test_randomized_monte_carlo_mean(self, sched):
@@ -328,6 +360,8 @@ class TestValidation:
             cf.ShiftedExpFinite(1)
         with pytest.raises(ConfigurationError):
             cf.ShiftedExpContinuous(1.0, 1.0, 1.0, 1)
+        with pytest.raises(ConfigurationError):
+            cf.ShiftedExpContinuous(2.0, 1e-200, 1e-200, 1)  # b d r underflows
         with pytest.raises(ConfigurationError):
             cf.GammaRandomized(1)
         with pytest.raises(ConfigurationError):

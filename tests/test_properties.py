@@ -1,6 +1,7 @@
 """Property-based checks over randomized inputs."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -26,15 +27,27 @@ def test_kernel_symmetric_bounded(ell, sv, family, x, y):
     assert gp.kernel_matrix(kernel, x, x)[0, 0] == gp.kernel_matrix(kernel, y, y)[0, 0]
 
 
+@dataclass(frozen=True)
+class FixedShift(confidence.Schedule):
+    """A randomized schedule with any fixed shift, to test the base's draw."""
+
+    s: float
+
+    randomized = True
+
+    def shift(self, t):
+        return self.s
+
+
 @settings(max_examples=60, deadline=None)
-@given(s=st.floats(-5, 50), lam=st.floats(0.01, 10.0), seed=st.integers(0, 2**31))
-def test_shifted_exponential_support_and_quantile(s, lam, seed):
-    rng = np.random.default_rng(seed)
-    draw = confidence.sample_shifted_exponential(s, lam, rng)
+@given(s=st.floats(-5, 50), seed=st.integers(0, 2**31))
+def test_shifted_exponential_support_and_quantile(s, seed):
+    sched = FixedShift(s)
+    draw = confidence.next_confidence(sched, 1, np.random.default_rng(seed))
     assert draw >= s
     # quantile of the rate-1/2 family inverts its own CDF
     q = 0.31
-    sched_q = s - math.log(1.0 - q) / 0.5
+    sched_q = sched.quantile(1, q)
     cdf = 1.0 - math.exp(-0.5 * (sched_q - s))
     assert abs(cdf - q) < 1e-12
 
