@@ -38,13 +38,19 @@ def expected_improvement(mean: np.ndarray, var: np.ndarray,
     """Closed-form EI against ``incumbent`` (var >= 0); zero variance scores max(mu - inc, 0)."""
     sd = np.sqrt(var)
     gain = mean - incumbent
-    out = np.maximum(gain, 0.0)
     pos = sd > 0.0
-    if np.any(pos):
-        z = gain[pos] / sd[pos]
-        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        out[pos] = gain[pos] * ndtr(z) + sd[pos] * pdf
+    if pos.all():
+        return _ei_positive(gain, sd)
+    out = np.maximum(gain, 0.0)
+    out[pos] = _ei_positive(gain[pos], sd[pos])
     return out
+
+
+def _ei_positive(gain: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """EI of each gain mu - incumbent at a positive sd, elementwise."""
+    z = gain / sd
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return gain * ndtr(z) + sd * pdf
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,9 @@ def sample_posterior_path(state: gp.GpState, prior: np.ndarray, obs_rows: np.nda
 def pims_scores(mean: np.ndarray, var: np.ndarray, f_star: float) -> np.ndarray:
     """Probability of improvement on ``f_star`` for posterior moments (var >= 0)."""
     sd = np.sqrt(var)
-    out = (mean >= f_star).astype(float)
     pos = sd > 0.0
+    if pos.all():
+        return ndtr((mean - f_star) / sd)
+    out = (mean >= f_star).astype(float)
     out[pos] = ndtr((mean[pos] - f_star) / sd[pos])
     return out

@@ -22,7 +22,6 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from .errors import ConfigurationError
-from .rng import as_generator
 
 RATE = 0.5  # exponential rate shared by every shifted-exponential variant
 
@@ -32,13 +31,23 @@ def _check_level(q: float) -> None:
         raise ConfigurationError("quantile level must lie in (0, 1)")
 
 
+def _check_generator(rng) -> None:
+    # Seeding a fresh generator from an integer on every call would repeat
+    # one value at every iteration, so only a running generator is taken.
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigurationError(
+            f"a schedule draws from a numpy Generator, not {type(rng).__name__}"
+        )
+
+
 class Schedule:
     """Iteration t's value is ``shift(t)``, plus Z ~ Exp(``RATE``) when
     the class sets ``randomized``.
 
-    A deterministic draw leaves the generator untouched and every quantile
-    equals the mean. A randomized draw consumes exactly one uniform, by
-    inverse transform, and is never below the shift.
+    A draw takes a ``np.random.Generator`` and rejects anything else,
+    whatever the class. A deterministic draw leaves the generator untouched
+    and every quantile equals the mean. A randomized draw consumes exactly
+    one uniform, by inverse transform, and is never below the shift.
     """
 
     randomized = False
@@ -46,12 +55,13 @@ class Schedule:
     def shift(self, t: int) -> float:
         raise NotImplementedError
 
-    def draw(self, t: int, rng) -> float:
+    def draw(self, t: int, rng: np.random.Generator) -> float:
+        _check_generator(rng)
         s = self.shift(t)
         if not self.randomized:
             return s
         # 1 - random() lies in (0, 1], keeping the log finite.
-        return s - math.log(1.0 - as_generator(rng).random()) / RATE
+        return s - math.log(1.0 - rng.random()) / RATE
 
     def mean(self, t: int) -> float:
         s = self.shift(t)
@@ -236,8 +246,9 @@ class GammaRandomized(Schedule):
     def shift(self, t: int) -> float:
         return 0.0
 
-    def draw(self, t: int, rng) -> float:
-        return float(as_generator(rng).gamma(shape=self.shape(t), scale=self.theta))
+    def draw(self, t: int, rng: np.random.Generator) -> float:
+        _check_generator(rng)
+        return float(rng.gamma(shape=self.shape(t), scale=self.theta))
 
     def mean(self, t: int) -> float:
         return self.theta * self.shape(t)
@@ -254,11 +265,13 @@ class GammaRandomized(Schedule):
         return float(gammaincinv(self.shape(t), q) * self.theta)
 
 
-def next_confidence(schedule: Schedule, t: int, rng) -> float:
+def next_confidence(schedule: Schedule, t: int, rng: np.random.Generator) -> float:
     """Produce iteration t's confidence parameter.
 
-    Deterministic variants ignore the generator; randomized ones advance it
-    by exactly one draw, so a fixed seed reproduces the sequence.
+    ``rng`` must be a ``np.random.Generator``; any other type, an integer
+    seed included, raises ConfigurationError. Deterministic variants ignore
+    the generator; randomized ones advance it by exactly one draw, so
+    generators started from one state reproduce the sequence.
     """
     if t < 1:
         raise ConfigurationError("iteration index must be >= 1")

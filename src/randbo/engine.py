@@ -35,11 +35,13 @@ the ``PATHS`` substream in the order one iteration at a time would draw
 them.
 
 The fresh-candidate model of a continuous instance draws each iteration's
-candidates and forms V = L^-1 K(X, candidates) as one matrix product of
-the inverse factor (``gp.inverse_factor``) with the cross-covariance, not
-as a triangular solve with one right-hand side per candidate: that
-solve's shape, a hundred rows by thousands of columns, runs several times
-slower in BLAS than a product. V agrees with the solve to rounding and
+candidates and forms V = L^-1 K(X, candidates) as one triangular matrix
+product of the inverse factor (``gp.inverse_factor``) with the
+cross-covariance (BLAS ``trmm``, written over the cross-covariance's own
+memory), not as a triangular solve with one right-hand side per
+candidate: that solve's shape, a hundred rows by thousands of columns,
+runs several times slower in BLAS than a product, and the triangular
+product costs half a dense one. V agrees with the solve to rounding and
 serves every acquisition: the moments, and for TS and PIMS the path, whose
 random features, at the candidates and the observed inputs, change every
 iteration; it draws a block of one path. Grids keep the triangular solve
@@ -60,6 +62,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from . import gp
 from .acquisition import (
@@ -373,11 +376,16 @@ class _FreshModel(_Model):
 
     def moments(self, state: gp.GpState, cand_rng: np.random.Generator):
         self.pts = cand_rng.random((self.instance.candidate_count, self.instance.dim))
-        # One matrix product with L^-1 runs several times faster than the
-        # triangular solve with thousands of right-hand sides.
-        self.V = gp.inverse_factor(state) @ gp.kernel_matrix(
-            state.kernel, state.inputs, self.pts)
-        return self.pts, *gp.moments_from_solve(state, self.pts, self.V)
+        V = gp.kernel_matrix(state.kernel, state.inputs, self.pts)
+        if state.n_obs:
+            # V^T = K^T L^-T by one triangular product with L^-1, which runs
+            # several times faster than the triangular solve with thousands
+            # of right-hand sides. K^T is F-contiguous, so BLAS writes V^T
+            # over K's own memory and no n x m result is allocated.
+            V = dtrmm(1.0, gp.inverse_factor(state), V.T, side=1, lower=1, trans_a=1,
+                      overwrite_b=1).T
+        self.V = V
+        return self.pts, *gp.moments_from_solve(state, self.pts, V)
 
     def path(self, state: gp.GpState, t: int) -> np.ndarray:
         m, n = self.pts.shape[0], state.n_obs

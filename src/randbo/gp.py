@@ -22,8 +22,9 @@ directly. ``sample_prior`` stays uncached.
 
 ``cross_solve`` forms V = L^-1 K(inputs, X) by a triangular solve.
 ``inverse_factor`` gives L^-1 itself: for V at thousands of fresh points
-one matrix product with it runs several times faster than the solve and
-agrees with it to rounding, not bit for bit.
+one triangular matrix product with it (BLAS ``trmm``, in place in the
+K(inputs, X) block) runs several times faster than the solve and agrees
+with it to rounding, not bit for bit.
 
 States are value-semantic: ``incremental_update`` returns a new state and
 never mutates the old one. Successive states along one history share a
@@ -179,12 +180,14 @@ def kernel_matrix(kernel: Kernel, X, X2=None) -> np.ndarray:
     sv = kernel.signal_variance
     # Each block is built in the cdist output, in the operation order of
     # sv * (1 + c + c^2 / 3) * exp(-c) and its siblings, so it is bit for bit
-    # that expression without its temporaries.
+    # that expression without its temporaries. The pass scaling by sv is
+    # skipped at sv = 1, where it would change no bit.
     if kernel.family == SQUARED_EXPONENTIAL:
         K = cdist(Xs, X2s, "sqeuclidean")
         K *= -0.5
         np.exp(K, out=K)
-        K *= sv
+        if sv != 1.0:
+            K *= sv
         return K
     K = cdist(Xs, X2s)
     K *= math.sqrt(5.0) if kernel.family == MATERN52 else math.sqrt(3.0)
@@ -197,13 +200,14 @@ def kernel_matrix(kernel: Kernel, X, X2=None) -> np.ndarray:
         K += square
     else:
         K += 1.0
-    K *= sv
+    if sv != 1.0:
+        K *= sv
     K *= decay
     return K
 
 
 def kernel_diag(kernel: Kernel, X) -> np.ndarray:
-    """Vector of prior variances k(x, x) for each row of X."""
+    """Vector of prior variances k(x, x) for each row of X, as a new array."""
     if isinstance(kernel, ExplicitKernel):
         return np.diag(kernel.cov)[_explicit_indices(kernel, X)]
     X = _as_points(X, kernel.dim)
@@ -389,11 +393,14 @@ def cross_solve(state: GpState, X) -> np.ndarray:
 
 
 def inverse_factor(state: GpState) -> np.ndarray:
-    """L^-1 for the state's Cholesky factor L, shape (n_obs, n_obs).
+    """L^-1 for the state's Cholesky factor L, shape (n_obs, n_obs), lower
+    triangular.
 
-    ``inverse_factor(state) @ kernel_matrix(state.kernel, state.inputs, X)``
-    is ``cross_solve(state, X)`` as one matrix product instead of a
-    triangular solve; the two agree to rounding, not bit for bit.
+    Its product with ``kernel_matrix(state.kernel, state.inputs, X)`` is
+    ``cross_solve(state, X)`` as one matrix product instead of a triangular
+    solve; the two agree to rounding, not bit for bit. As a triangular
+    matrix it multiplies by BLAS ``trmm`` at half the cost of a dense
+    product, in place in the kernel block (see ``engine._FreshModel``).
     """
     if state.n_obs == 0:
         return np.empty((0, 0))
@@ -418,8 +425,9 @@ def posterior_batch(state: GpState, X) -> tuple[np.ndarray, np.ndarray]:
 def moments_from_solve(state: GpState, X, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``posterior_batch`` at X for a caller already holding V = ``cross_solve(state, X)``."""
     mean = V.T @ state.half_targets
-    var = kernel_diag(state.kernel, X) - np.einsum("ij,ij->j", V, V)
-    return mean, np.maximum(var, 0.0)
+    var = kernel_diag(state.kernel, X)
+    var -= np.einsum("ij,ij->j", V, V)
+    return mean, np.maximum(var, 0.0, out=var)
 
 
 def cholesky(K: np.ndarray, scale: float, label: str, start: float | None = None) -> np.ndarray:

@@ -183,6 +183,22 @@ class TestNextConfidence:
             second_b = cf.next_confidence(sched, 2, b)
             assert second_a == second_b
 
+    def test_integer_seed_rejected(self):
+        # Seeded afresh on every call, a randomized schedule would return
+        # 9.786213736925397 at every t for seed 7.
+        with pytest.raises(ConfigurationError, match="not int"):
+            cf.next_confidence(cf.ShiftedExpFinite(100), 1, 7)
+
+    @pytest.mark.parametrize("sched", [cf.Constant(1.0), cf.ShiftedExpFinite(100),
+                                       cf.GammaRandomized(100)])
+    @pytest.mark.parametrize("rng", [7, None, np.random.RandomState(7)],
+                             ids=["int", "None", "RandomState"])
+    def test_draw_takes_only_a_generator(self, sched, rng):
+        with pytest.raises(ConfigurationError, match=type(rng).__name__):
+            sched.draw(1, rng)
+        with pytest.raises(ConfigurationError, match=type(rng).__name__):
+            cf.next_confidence(sched, 1, rng)
+
     def test_identical_seed_identical_sequence(self):
         for sched in (cf.ShiftedExpFinite(50), cf.GammaRandomized(50),
                       cf.ShiftedExpContinuous(2, 1, 1, 2), cf.HeuristicShiftedExp(4)):

@@ -326,6 +326,31 @@ class TestFreshModelMoments:
         assert np.max(np.abs(mean - ref_mean)) <= 1e-10 * scale
         assert np.max(np.abs(var - ref_var)) <= 1e-12
 
+    @pytest.mark.parametrize("m", [1, 5, 2000])
+    @pytest.mark.parametrize("n", [0, 1, 7, 60])
+    def test_triangular_product_matches_cross_solve(self, n, m):
+        # V is written by BLAS trmm over the kernel block's memory; it must
+        # be the solve's V to rounding at every shape, the empty state's
+        # (0, m) block included, where the moments are the prior's.
+        rng = np.random.default_rng(1000 * n + m)
+        X, y = rng.random((n, 3)), rng.normal(size=n)
+        state = gp.batch_state(se(3), X, y, 1e-4)
+        inst = ContinuousInstance(_objective, 3, m, 0.0, 0.0)
+        cfg = RunConfig(kernel=state.kernel, horizon=1, schedule=Constant(1.0),
+                        noise_variance=1e-4)
+        model = engine._FreshModel(inst, cfg, None, None)
+        pts, mean, var = model.moments(state, np.random.default_rng(n + m))
+        ref_V = gp.cross_solve(state, pts)
+        assert model.V.shape == ref_V.shape == (n, m)
+        if n:
+            assert np.max(np.abs(model.V - ref_V)) <= 1e-12 * np.max(np.abs(ref_V))
+        ref_mean, ref_var = gp.posterior_batch(state, pts)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * (1.0 + np.max(np.abs(ref_mean)))
+        assert np.max(np.abs(var - ref_var)) <= 1e-12
+        if n == 0:
+            np.testing.assert_array_equal(mean, np.zeros(m))
+            np.testing.assert_array_equal(var, gp.kernel_diag(state.kernel, pts))
+
 
 class TestExplicitGridObservations:
     """A grid observation takes k(x, x) from the model's cached prior

@@ -57,6 +57,42 @@ class TestKernelEval:
             expected = sv * (1.0 + c) * np.exp(-c)
         np.testing.assert_array_equal(gp.kernel_matrix(kernel, X, X2), expected)
 
+    @pytest.mark.parametrize("family", gp.KERNEL_FAMILIES)
+    @pytest.mark.parametrize("sv", [1.0, 2.5])
+    def test_block_equals_scaling_on_every_pass(self, family, sv):
+        # kernel_matrix skips the pass K *= sv at sv = 1; the block must
+        # still equal, bit for bit, this copy of the in-place order that
+        # always takes it.
+        def always_scaled(kernel, X, X2):
+            Xs, X2s = X / kernel.lengthscales, X2 / kernel.lengthscales
+            if kernel.family == "squared_exponential":
+                K = cdist(Xs, X2s, "sqeuclidean")
+                K *= -0.5
+                np.exp(K, out=K)
+                K *= kernel.signal_variance
+                return K
+            K = cdist(Xs, X2s)
+            K *= math.sqrt(5.0) if kernel.family == "matern52" else math.sqrt(3.0)
+            decay = np.negative(K)
+            np.exp(decay, out=decay)
+            if kernel.family == "matern52":
+                square = np.multiply(K, K)
+                square /= 3.0
+                K += 1.0
+                K += square
+            else:
+                K += 1.0
+            K *= kernel.signal_variance
+            K *= decay
+            return K
+
+        rng = np.random.default_rng(4)
+        kernel = gp.KernelSpec(family, [0.2, 0.05, 0.4], sv)
+        X, X2 = rng.random((37, 3)), rng.random((151, 3))
+        np.testing.assert_array_equal(gp.kernel_matrix(kernel, X, X2),
+                                      always_scaled(kernel, X, X2))
+        np.testing.assert_array_equal(gp.kernel_matrix(kernel, X), always_scaled(kernel, X, X))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             gp.kernel_matrix(se_kernel(dim=2), [0.0], [0.0, 1.0])

@@ -5,8 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
-from randbo import analysis, confidence, gp
+from randbo import acquisition, analysis, confidence, gp
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -77,3 +78,43 @@ def test_finite_bound_monotone_in_horizon_and_gain(t1, extra, gamma, m, s2):
     lo = analysis.bcr_bound_finite(t1, m, s2, gamma)
     assert analysis.bcr_bound_finite(t1 + extra, m, s2, gamma) >= lo
     assert analysis.bcr_bound_finite(t1, m, s2, gamma + 1.0) >= lo
+
+
+def _masked_ei(mean, var, incumbent):
+    """Expected improvement scored through the positive-variance mask only."""
+    sd = np.sqrt(var)
+    gain = mean - incumbent
+    out = np.maximum(gain, 0.0)
+    pos = sd > 0.0
+    if np.any(pos):
+        z = gain[pos] / sd[pos]
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        out[pos] = gain[pos] * ndtr(z) + sd[pos] * pdf
+    return out
+
+
+def _masked_pims(mean, var, f_star):
+    """Probability of improvement scored through the positive-variance mask only."""
+    sd = np.sqrt(var)
+    out = (mean >= f_star).astype(float)
+    pos = sd > 0.0
+    out[pos] = ndtr((mean[pos] - f_star) / sd[pos])
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    moments=st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(1e-12, 1e3),
+                               st.booleans()), min_size=1, max_size=40),
+    level=st.floats(-100.0, 100.0),
+    zeros=st.booleans(),
+)
+def test_scores_equal_the_masked_formulas(moments, level, zeros):
+    # Whole arrays are scored without the mask when every variance is
+    # positive; both paths must give the masked formulas' bits.
+    mean = np.array([m for m, _, _ in moments])
+    var = np.array([0.0 if zeros and zero else v for _, v, zero in moments])
+    assert np.array_equal(acquisition.expected_improvement(mean, var, level),
+                          _masked_ei(mean, var, level))
+    assert np.array_equal(acquisition.pims_scores(mean, var, level),
+                          _masked_pims(mean, var, level))
