@@ -257,7 +257,7 @@ def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
                 "expected_regret_bound_finite",
                 {"T": summary.horizon, "domain_size": domain_size,
                  "noise_variance": config.noise_variance,
-                 "gamma_realized_mean": gain},
+                 "gamma_realized_mean": gain, "n_reps": summary.n_reps},
                 value, summary.mean_cumulative_regret))
         if finite and name == "irgp_ucb_high_prob":
             delta = config["irgp_ucb_high_prob.delta"]

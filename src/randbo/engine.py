@@ -36,17 +36,23 @@ them.
 
 The fresh-candidate model of a continuous instance draws each iteration's
 candidates and forms V = L^-1 K(X, candidates) as one triangular matrix
-product of the inverse factor (``gp.inverse_factor``) with the
-cross-covariance (BLAS ``trmm``, written over the cross-covariance's own
-memory), not as a triangular solve with one right-hand side per
-candidate: that solve's shape, a hundred rows by thousands of columns,
-runs several times slower in BLAS than a product, and the triangular
-product costs half a dense one. V agrees with the solve to rounding and
-serves every acquisition: the moments, and for TS and PIMS the path, whose
-random features, at the candidates and the observed inputs, change every
-iteration; it draws a block of one path. Grids keep the triangular solve
-(``gp.cross_solve``), which runs once per refit there, so their outputs
-are unchanged to the byte.
+product of the inverse factor with the cross-covariance (BLAS ``trmm``,
+written over the cross-covariance's own memory), not as a triangular solve
+with one right-hand side per candidate: that solve's shape, a hundred rows
+by thousands of columns, runs several times slower in BLAS than a product,
+and the triangular product costs half a dense one. The model holds L^-1
+itself: ``gp.inverse_factor`` (LAPACK ``dtrtri``) once per refit, then one
+row per observation at O(n^2). The observation's Cholesky row is the chosen
+candidate's column of V, so an update evaluates no kernel and solves
+nothing. V agrees with the solve to rounding and serves every acquisition:
+the moments, and for TS and PIMS the path, whose random features, at the
+candidates and the observed inputs, change every iteration; it draws a
+block of one path. Grids keep the triangular solve (``gp.cross_solve``),
+which runs once per refit there, so their outputs are unchanged to the
+byte.
+
+A refit builds one state, the winner's (``gp.fit_state``), in a buffer
+sized for the observations still to come, so none of them copies it.
 
 ``run_replications`` draws each replication's instance first; on a fixed
 grid the synthetic sampler's draw is a mat-vec with the grid's cached prior
@@ -356,13 +362,25 @@ class _GridModel(_Model):
 
 
 class _FreshModel(_Model):
-    """A continuous instance's posterior at each iteration's fresh candidates."""
+    """A continuous instance's posterior at each iteration's fresh candidates.
+
+    The model holds L^-1 for the state it last produced (``refit`` or
+    ``observe``): one ``gp.inverse_factor`` per refit, then one row per
+    observation. A state it did not produce gets its inverse from
+    ``gp.inverse_factor`` again.
+    """
+
+    state = None  # the state whose factor ``inv`` inverts
 
     def initial_design(self, design, rng: np.random.Generator):
         """(None, points, true values): ``design`` uniform points in the unit cube."""
         count = _design_count(design)
         if count is None:
             raise ConfigurationError("a continuous instance's initial design is a point count")
+        # Entries above the diagonal are never written, so the upper
+        # triangle that ``observe``'s row product reads stays zero.
+        size = self.config.horizon + count + 1
+        self.inv = np.zeros((size, size))
         X = rng.random((count, self.instance.dim))
         return None, X, np.array([self.true_value(None, x) for x in X])
 
@@ -370,20 +388,24 @@ class _FreshModel(_Model):
         return float(self.instance.objective(x))
 
     def refit(self, state: gp.GpState) -> None:
+        n = state.n_obs
+        self.inv[:n, :n] = gp.inverse_factor(state)
+        self.state = state
         if self.sampled:
             self.rff = build_rff(state.kernel, self.config.acquisition.num_features,
                                  self.feat_rng)
 
     def moments(self, state: gp.GpState, cand_rng: np.random.Generator):
         self.pts = cand_rng.random((self.instance.candidate_count, self.instance.dim))
+        n = state.n_obs
         V = gp.kernel_matrix(state.kernel, state.inputs, self.pts)
-        if state.n_obs:
+        if n:
             # V^T = K^T L^-T by one triangular product with L^-1, which runs
             # several times faster than the triangular solve with thousands
             # of right-hand sides. K^T is F-contiguous, so BLAS writes V^T
             # over K's own memory and no n x m result is allocated.
-            V = dtrmm(1.0, gp.inverse_factor(state), V.T, side=1, lower=1, trans_a=1,
-                      overwrite_b=1).T
+            inv = self.inv[:n, :n] if state is self.state else gp.inverse_factor(state)
+            V = dtrmm(1.0, inv, V.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
         self.V = V
         return self.pts, *gp.moments_from_solve(state, self.pts, V)
 
@@ -394,7 +416,21 @@ class _FreshModel(_Model):
         return sample_posterior_path(state, prior[0], np.arange(m, m + n), self.V, eps[0])
 
     def observe(self, state: gp.GpState, idx: int, x: np.ndarray, y: float) -> gp.GpState:
-        return gp.incremental_update(state, x, y)
+        # The new Cholesky row L^-1 k(X, x) is the candidate's column of the
+        # V that ``moments`` formed for this state, so the update evaluates
+        # no kernel and solves nothing. L^-1 of the extended factor
+        # [[L, 0], [l^T, p]] is L^-1 with the row [-l^T L^-1 / p, 1 / p]
+        # appended.
+        n = state.n_obs
+        if state is not self.state:
+            self.inv[:n, :n] = gp.inverse_factor(state)
+        new_state = gp.incremental_update(state, x, y, l_row=self.V[:, idx])
+        pivot = new_state.chol[n, n]
+        self.inv[n, :n] = new_state.chol[n, :n] @ self.inv[:n, :n]
+        self.inv[n, :n] /= -pivot
+        self.inv[n, n] = 1.0 / pivot
+        self.state = new_state
+        return new_state
 
 
 def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
@@ -448,7 +484,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                 and state.n_obs > 0
             ):
                 state = gp.fit_state(state.inputs, state.outputs, list(config.refit_grid),
-                                     config.noise_variance)
+                                     config.noise_variance, capacity=T + n_init + 1)
                 model.refit(state)
 
             pts, mean, var = model.moments(state, cand_rng)

@@ -21,15 +21,20 @@ the cache together are not cached; their callers compute rows and draws
 directly. ``sample_prior`` stays uncached.
 
 ``cross_solve`` forms V = L^-1 K(inputs, X) by a triangular solve.
-``inverse_factor`` gives L^-1 itself: for V at thousands of fresh points
-one triangular matrix product with it (BLAS ``trmm``, in place in the
-K(inputs, X) block) runs several times faster than the solve and agrees
-with it to rounding, not bit for bit.
+``inverse_factor`` gives L^-1 itself, by LAPACK ``dtrtri``: for V at
+thousands of fresh points one triangular matrix product with it (BLAS
+``trmm``, in place in the K(inputs, X) block) runs several times faster
+than the solve and agrees with it to rounding, not bit for bit. A caller
+that extends the factor one observation at a time can extend L^-1 by one
+row instead of inverting again (see ``engine._FreshModel``).
 
 States are value-semantic: ``incremental_update`` returns a new state and
 never mutates the old one. Successive states along one history share a
 growable backing buffer, so a T-step run costs O(T^3) total instead of
 O(T^4); forking a state (updating a non-tip state twice) silently copies.
+``batch_state`` and ``fit_state`` factor a whole dataset through one
+helper; ``fit_state`` scores every kernel of its grid from the factor and
+builds only the pick's state, in a buffer of the caller's ``capacity``.
 """
 
 from __future__ import annotations
@@ -290,29 +295,50 @@ def empty_state(kernel: Kernel, noise_variance: float, capacity: int = 64) -> Gp
     return GpState(kernel, float(noise_variance), _Buffer(kernel.dim, capacity), 0)
 
 
-def batch_state(kernel: Kernel, X, y, noise_variance: float) -> GpState:
-    """Build a state from a whole dataset by one ``cholesky``, tried without jitter first."""
+def _dataset(kernel: Kernel, X, y, noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """The checked (inputs, outputs) of a whole dataset under ``kernel``."""
     if not noise_variance > 0:
         raise ConfigurationError("noise_variance must be positive")
     X = _as_points(X, kernel.dim)
     y = np.asarray(y, dtype=float).ravel()
-    n = X.shape[0]
-    if y.shape[0] != n:
+    if y.shape[0] != X.shape[0]:
         raise ConfigurationError("inputs and outputs must have equal length")
-    if n and not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(y)):
         raise ObservationError("non-finite observation value")
-    buf = _Buffer(kernel.dim, max(n, 8))
-    if n:
-        K = kernel_matrix(kernel, X)
-        scale = float(np.max(np.diagonal(K)))
-        K.flat[:: n + 1] += noise_variance
-        L = cholesky(K, scale, f"observation Gram of {n} points", start=0.0)
-        buf.x[:n] = X
-        buf.y[:n] = y
-        buf.chol[:n, :n] = L
-        buf.wy[:n] = solve_triangular(L, y, lower=True, check_finite=False)
-        buf.size = n
+    return X, y
+
+
+def _factor(kernel: Kernel, X: np.ndarray, y: np.ndarray,
+            noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L^-1 y) for L L^T = K(X, X) + noise_variance I, by one ``cholesky``
+    tried without jitter first."""
+    n = X.shape[0]
+    if n == 0:
+        return np.empty((0, 0)), np.empty(0)
+    K = kernel_matrix(kernel, X)
+    scale = float(np.max(np.diagonal(K)))
+    K.flat[:: n + 1] += noise_variance
+    L = cholesky(K, scale, f"observation Gram of {n} points", start=0.0)
+    return L, solve_triangular(L, y, lower=True, check_finite=False)
+
+
+def _state(kernel: Kernel, noise_variance: float, X: np.ndarray, y: np.ndarray,
+           L: np.ndarray, wy: np.ndarray, capacity: int) -> GpState:
+    """A state holding the dataset and its factor, in a buffer of at least ``capacity`` rows."""
+    n = X.shape[0]
+    buf = _Buffer(kernel.dim, max(n, capacity))
+    buf.x[:n] = X
+    buf.y[:n] = y
+    buf.chol[:n, :n] = L
+    buf.wy[:n] = wy
+    buf.size = n
     return GpState(kernel, float(noise_variance), buf, n)
+
+
+def batch_state(kernel: Kernel, X, y, noise_variance: float) -> GpState:
+    """Build a state from a whole dataset by one ``cholesky``, tried without jitter first."""
+    X, y = _dataset(kernel, X, y, noise_variance)
+    return _state(kernel, noise_variance, X, y, *_factor(kernel, X, y, noise_variance), 0)
 
 
 def incremental_update(state: GpState, x, y: float, l_row=None,
@@ -323,9 +349,12 @@ def incremental_update(state: GpState, x, y: float, l_row=None,
     Cholesky row comes from one triangular solve against the existing
     factor. The caller's state is untouched.
 
-    ``l_row`` optionally supplies the precomputed solve L^-1 k(inputs, x)
-    (callers that batch-solve candidate columns already hold it); it must
-    match that definition exactly, which the posterior replay tests pin.
+    ``l_row`` optionally supplies L^-1 k(inputs, x), which callers that
+    form the columns of their candidates already hold. It becomes the new
+    Cholesky row as given, so a value computed another way than the
+    triangular solve (as the product of ``inverse_factor`` with the kernel
+    column) matches the solve to rounding, not bit for bit; the posterior
+    replay tests pin both routes.
 
     ``prior_var`` optionally supplies k(x, x), the prior variance at x under
     ``state.kernel``, which a caller holding the kernel's diagonal over its
@@ -396,11 +425,15 @@ def inverse_factor(state: GpState) -> np.ndarray:
     """L^-1 for the state's Cholesky factor L, shape (n_obs, n_obs), lower
     triangular.
 
-    Its product with ``kernel_matrix(state.kernel, state.inputs, X)`` is
-    ``cross_solve(state, X)`` as one matrix product instead of a triangular
-    solve; the two agree to rounding, not bit for bit. As a triangular
-    matrix it multiplies by BLAS ``trmm`` at half the cost of a dense
-    product, in place in the kernel block (see ``engine._FreshModel``).
+    Computed by LAPACK ``dtrtri`` at O(n^3). Its product with
+    ``kernel_matrix(state.kernel, state.inputs, X)`` is ``cross_solve(state,
+    X)`` as one matrix product instead of a triangular solve; the two agree
+    to rounding, not bit for bit. As a triangular matrix it multiplies by
+    BLAS ``trmm`` at half the cost of a dense product, in place in the
+    kernel block. ``engine._FreshModel`` calls it once per refit and
+    appends one row per observation after that, at O(n^2): for the factor
+    extended by the row (l^T, p), the new row of L^-1 is
+    (-l^T L^-1 / p, 1 / p).
     """
     if state.n_obs == 0:
         return np.empty((0, 0))
@@ -583,33 +616,45 @@ def prior_data(kernel: Kernel, points, factor: bool = False) -> PriorData | None
     return _PRIOR_CACHE.get(kernel, X, factor)
 
 
-def log_marginal_likelihood(state: GpState) -> float:
-    """Log evidence of the observed data under the state's kernel and noise."""
-    n = state.n_obs
-    if n == 0:
-        raise ConfigurationError("log marginal likelihood needs at least one observation")
-    wy = state.half_targets
+def _log_evidence(L: np.ndarray, wy: np.ndarray) -> float:
+    """Log evidence from the factor L and the half-solved targets L^-1 y."""
     return float(
         -0.5 * (wy @ wy)
-        - np.sum(np.log(np.diag(state.chol)))
-        - 0.5 * n * math.log(2.0 * math.pi)
+        - np.sum(np.log(np.diag(L)))
+        - 0.5 * wy.shape[0] * math.log(2.0 * math.pi)
     )
 
 
-def fit_state(inputs, outputs, grid: list[KernelSpec], noise_variance: float) -> GpState:
+def log_marginal_likelihood(state: GpState) -> float:
+    """Log evidence of the observed data under the state's kernel and noise."""
+    if state.n_obs == 0:
+        raise ConfigurationError("log marginal likelihood needs at least one observation")
+    return _log_evidence(state.chol, state.half_targets)
+
+
+def fit_state(inputs, outputs, grid: list[KernelSpec], noise_variance: float,
+              capacity: int = 0) -> GpState:
     """The state on the data under the grid element maximizing the log
     marginal likelihood; its ``kernel`` is the pick.
 
-    Ties break toward the lowest grid index. An empty dataset falls back to
-    the first grid element.
+    Each grid element is scored from its factor and half-solved targets,
+    and only the pick's state is built: bit for bit its ``batch_state``,
+    in a buffer of at least ``capacity`` rows, so a caller that sizes it
+    to the observations still to come appends them in place. Ties break
+    toward the lowest grid index; an empty dataset ties everywhere and
+    falls back to the first grid element.
     """
     if not grid:
         raise ConfigurationError("hyperparameter grid must be non-empty")
-    y = np.asarray(outputs, dtype=float).ravel()
-    if y.shape[0] == 0:
-        return batch_state(grid[0], np.empty((0, grid[0].dim)), y, noise_variance)
-    states = [batch_state(spec, inputs, y, noise_variance) for spec in grid]
-    return states[int(np.argmax([log_marginal_likelihood(s) for s in states]))]
+    X, y = _dataset(grid[0], inputs, outputs, noise_variance)
+    best = None
+    for spec in grid:
+        L, wy = _factor(spec, X, y, noise_variance)
+        score = _log_evidence(L, wy)
+        if best is None or score > best[0]:
+            best = score, spec, L, wy
+    _, spec, L, wy = best
+    return _state(spec, noise_variance, X, y, L, wy, capacity)
 
 
 def fit_hyperparameters(inputs, outputs, grid: list[KernelSpec],

@@ -12,10 +12,10 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from randbo import analysis, cli, engine
+from randbo import analysis, bench, cli, engine
 from randbo.config import ALGORITHMS, parse_config, parse_text, serialize_config
 from randbo.engine import BoTrace
-from randbo.errors import ConfigurationError
+from randbo.errors import ConfigurationError, NumericalError
 
 MINIMAL_SYNTHETIC = """
 # smallest useful synthetic experiment
@@ -245,6 +245,31 @@ class TestRunExperiment:
         summary = (out / "summary_irgp_ucb.csv").read_text().splitlines()
         assert summary[0] == "t,mean_Rt,stderr_Rt,mean_simple,stderr_simple"
         assert len(summary) == 1 + cfg.horizon
+
+    def test_finite_bound_report_counts_the_replications_that_succeeded(
+            self, tmp_path, monkeypatch):
+        # A failed replication is warned about and left out of the mean the
+        # report compares against its bound; the report records how many
+        # replications that mean is over.
+        real = bench.SyntheticInstanceSampler
+
+        class SecondFails(real):
+            def __call__(self, rep, rng):
+                if rep == 1:
+                    raise NumericalError("injected failure")
+                return super().__call__(rep, rng)
+
+        _, out, _ = self.run_into(tmp_path, MINIMAL_SYNTHETIC, "all")
+        monkeypatch.setattr(bench, "SyntheticInstanceSampler", SecondFails)
+        with pytest.warns(UserWarning, match="replication 1 failed"):
+            _, out_failed, status = self.run_into(tmp_path, MINIMAL_SYNTHETIC, "failed")
+        assert status == 0
+        for folder, n_reps in ((out, 3), (out_failed, 2)):
+            reports = json.loads((folder / "bounds.json").read_text())
+            [report] = [r for r in reports if r["name"] == "expected_regret_bound_finite"]
+            assert report["inputs"]["n_reps"] == n_reps
+            summary = (folder / "summary_irgp_ucb.csv").read_text().splitlines()
+            assert report["target"] == pytest.approx(float(summary[-1].split(",")[1]))
 
     def test_summary_matches_trace_reaggregation(self, tmp_path):
         _, out, _ = self.run_into(tmp_path, MINIMAL_SYNTHETIC)

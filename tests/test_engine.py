@@ -10,9 +10,11 @@ from randbo import engine, gp
 from randbo.acquisition import (
     build_rff,
     draw_prior_paths,
+    expected_improvement,
     pims_scores,
     rff_features,
     sample_posterior_path,
+    ucb_scores,
 )
 from randbo.analysis import CounterexampleSampler
 from randbo.confidence import Constant, Replay, ShiftedExpFinite, next_confidence
@@ -350,6 +352,115 @@ class TestFreshModelMoments:
         if n == 0:
             np.testing.assert_array_equal(mean, np.zeros(m))
             np.testing.assert_array_equal(var, gp.kernel_diag(state.kernel, pts))
+
+
+class TestFreshModelInverse:
+    """The fresh-candidate model holds L^-1: ``gp.inverse_factor`` at a
+    refit, then one appended row per observation. It must track a fresh
+    inversion of the factor, and a state it did not produce must get its
+    own inverse."""
+
+    @staticmethod
+    def grow(dim, ell, noise_variance, horizon, seed):
+        """A model and the state it produced through ``horizon`` UCB-like
+        observations from an empty start, with no refit."""
+        kernel = se(dim, ell=ell)
+        inst = ContinuousInstance(_objective, dim, 200, 0.0, 0.0)
+        cfg = RunConfig(kernel=kernel, horizon=horizon, schedule=Constant(1.0),
+                        noise_variance=noise_variance)
+        model = engine._FreshModel(inst, cfg, None, None)
+        rng = np.random.default_rng(seed)
+        model.initial_design(0, rng)
+        state = gp.empty_state(kernel, noise_variance, capacity=horizon + 1)
+        model.refit(state)
+        for _ in range(horizon):
+            pts, mean, var = model.moments(state, rng)
+            idx = int(np.argmax(mean + np.sqrt(var)))
+            y = _objective(pts[idx]) + 0.01 * rng.standard_normal()
+            state = model.observe(state, idx, pts[idx], y)
+        return model, state
+
+    def test_grown_inverse_tracks_a_fresh_inversion(self):
+        # 320 observations under an ill-conditioned SE kernel (long
+        # lengthscale, small noise): the appended rows must not drift from
+        # dtrtri's inverse, and the moments must agree with the solve to
+        # TestFreshModelMoments' tolerances.
+        model, state = self.grow(2, 1.0, 1e-4, 320, 3)
+        n = state.n_obs
+        ref = gp.inverse_factor(state)
+        assert np.max(np.abs(model.inv[:n, :n] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(np.triu(model.inv[:n, :n], 1), 0.0)
+        pts, mean, var = model.moments(state, np.random.default_rng(7))
+        ref_mean, ref_var = gp.posterior_batch(state, pts)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-10 * (1.0 + np.max(np.abs(state.outputs)))
+        assert np.max(np.abs(var - ref_var)) <= 1e-12
+
+    def test_state_from_elsewhere_is_inverted_again(self):
+        # A state the model did not produce (an equal one rebuilt by
+        # batch_state) takes dtrtri's inverse in moments and in observe, and
+        # the row observe appends extends that inverse.
+        model, state = self.grow(2, 0.4, 1e-3, 12, 5)
+        other = gp.batch_state(state.kernel, state.inputs, state.outputs, 1e-3)
+        # Nothing held may be read for another state. (The upper triangle
+        # stays zero: the model writes only on and below the diagonal.)
+        model.inv[np.tril_indices(model.inv.shape[0])] = np.nan
+        pts, mean, var = model.moments(other, np.random.default_rng(2))
+        ref_mean, ref_var = gp.posterior_batch(other, pts)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * (1.0 + np.max(np.abs(ref_mean)))
+        assert np.max(np.abs(var - ref_var)) <= 1e-12
+        new = model.observe(other, 0, pts[0], 0.5)
+        assert model.state is new
+        n = new.n_obs
+        ref = gp.inverse_factor(new)
+        assert np.max(np.abs(model.inv[:n, :n] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestFreshModelReplay:
+    """UCB and EI on a continuous instance with refits, replayed from
+    scratch: each iteration's candidates regenerated from the CANDIDATES
+    substream, the state rebuilt by ``gp.fit_state`` at each refit and by
+    ``gp.batch_state`` under the picked kernel between refits, and the
+    moments taken from ``gp.posterior_batch``."""
+
+    @staticmethod
+    def _wavy(x):
+        return float(np.sin(9.0 * x[0]) * np.cos(7.0 * x[1]) - np.sum((x - 0.25) ** 2))
+
+    @pytest.mark.parametrize("kind", ["ucb", "ei"])
+    def test_refit_posterior_replay_through_batch_gp(self, kind):
+        inst = ContinuousInstance(self._wavy, 2, 200, 1.0, 0.05)
+        grid = (se(2, ell=0.1), se(2, ell=0.3), se(2, ell=1.0))
+        cfg = RunConfig(kernel=se(2, ell=0.3), horizon=24, noise_variance=1e-3,
+                        initial_design=3, acquisition=AcquisitionSpec(kind),
+                        schedule=ShiftedExpFinite(200) if kind == "ucb" else None,
+                        refit_period=4, refit_grid=grid)
+        for seed in (0, 1):
+            trace = run_bo(inst, cfg, seed)
+            cand_rng = substream(seed, 0, CANDIDATES)
+            used, decided = set(), 0
+            for t in range(trace.horizon):
+                X = np.vstack([trace.initial_x, trace.selected_x[:t]])
+                y = np.concatenate([trace.initial_y, trace.observed_y[:t]])
+                if t % cfg.refit_period == 0:
+                    state = gp.fit_state(X, y, list(grid), cfg.noise_variance)
+                else:
+                    state = gp.batch_state(state.kernel, X, y, cfg.noise_variance)
+                used.add(float(state.kernel.lengthscales[0]))
+                pts = cand_rng.random((inst.candidate_count, inst.dim))
+                mean, var = gp.posterior_batch(state, pts)
+                i = trace.selected_index[t]
+                assert abs(mean[i] - trace.mean_at_selection[t]) < 1e-8
+                assert abs(np.sqrt(var[i]) - trace.sd_at_selection[t]) < 1e-8
+                if kind == "ucb":
+                    scores = ucb_scores(mean, var, trace.zeta_value[t])
+                else:
+                    scores = expected_improvement(mean, var, float(np.max(y)))
+                second, first = np.sort(scores)[-2:]
+                if first - second > 1e-9:
+                    decided += 1
+                    assert int(np.argmax(scores)) == i
+            assert len(used) > 1
+            assert decided >= trace.horizon // 2
 
 
 class TestExplicitGridObservations:

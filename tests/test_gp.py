@@ -401,6 +401,16 @@ class TestFitHyperparameters:
         for name in ("inputs", "outputs", "chol", "half_targets"):
             np.testing.assert_array_equal(getattr(state, name), getattr(rebuilt, name))
 
+    def test_capacity_lets_the_next_observation_append_in_place(self):
+        rng = np.random.default_rng(6)
+        X, y = rng.random((25, 2)), rng.normal(size=25)
+        grid = [se_kernel(dim=2, ell=ell) for ell in (0.2, 0.5)]
+        state = gp.fit_state(X, y, grid, 1e-4, capacity=40)
+        new = gp.incremental_update(state, rng.random(2), 0.3)
+        assert new._buf is state._buf
+        rebuilt = gp.batch_state(state.kernel, new.inputs, new.outputs, 1e-4)
+        np.testing.assert_allclose(new.chol, rebuilt.chol, rtol=0, atol=1e-12)
+
     def test_recovers_generating_lengthscale(self):
         # Data from ell=0.1 against the grid {0.05, 0.1, 0.2, 0.5}; the true
         # value must win in at least 90% of 50 seeds.
