@@ -12,6 +12,10 @@ of the optimum-value inequality that drives the randomized-UCB analysis,
 the two-point problem instance on which constant-confidence UCB earns
 linear regret, and an empirical slope test separating linear from
 sublinear regret growth.
+
+Each checkable claim of the paper has one verifier here (``*_claim``,
+``optimum_bound_sweep``, ``counterexample_slopes``), which returns
+``Verdict``s; ``randbo check`` and the acceptance criteria both call it.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import gp
-from .confidence import (RATE, Replay, ShiftedExpContinuous, ShiftedExpFinite,
+from .confidence import (RATE, Constant, Replay, ShiftedExpContinuous, ShiftedExpFinite,
                          ShiftedExpHighProb)
 from .engine import BoTrace, FiniteInstance, RunConfig, run_replications
 from .errors import ConfigurationError
-from .rng import as_generator
+from .rng import as_generator, substream
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +134,17 @@ def realized_information_gain(kernel: gp.Kernel, points, noise_variance: float) 
     L = gp.cholesky(A, float(np.max(np.diagonal(A))),
                     f"information-gain matrix of {pts.shape[0]} points", start=0.0)
     return float(np.sum(np.log(np.diag(L))))
+
+
+def mean_realized_gain(traces, kernel: gp.Kernel, noise_variance: float) -> float:
+    """Mean over traces of the realized information gain of each run's selections.
+
+    The finite-domain expected-regret report puts this in place of gamma_T.
+    A realized gain is at most gamma_T, so the bound it gives is not one the
+    paper certifies (ROADMAP item 3 replaces it with a certified gamma_T).
+    """
+    return float(np.mean([realized_information_gain(kernel, tr.selected_x, noise_variance)
+                          for tr in traces]))
 
 
 # Information gain is monotone submodular in the selected set, so the greedy
@@ -261,6 +277,21 @@ def high_prob_bound(T: int, delta: float, domain_size: int, noise_variance: floa
     )
 
 
+def high_prob_exceedance(traces, delta: float, domain_size: int, kernel: gp.Kernel,
+                         noise_variance: float) -> float:
+    """Share of traces whose final cumulative regret exceeds ``high_prob_bound``.
+
+    Each trace's bound takes that trace's realized information gain in place
+    of gamma_T: the same uncertified substitution as ``mean_realized_gain``.
+    """
+    exceed = sum(
+        tr.cumulative_regret[-1] > high_prob_bound(
+            tr.horizon, delta, domain_size, noise_variance,
+            realized_information_gain(kernel, tr.selected_x, noise_variance))
+        for tr in traces)
+    return float(exceed / len(traces))
+
+
 def laurent_bound(D: int, delta: float) -> float:
     """Chi-square upper quantile bound D + 2 sqrt(D log(1/delta)) + 2 log(1/delta)."""
     if D < 1:
@@ -276,6 +307,63 @@ def gaussian_tail_bound(c: float) -> float:
     if not c > 0:
         raise ConfigurationError("c must be positive")
     return 0.5 * math.exp(-0.5 * c * c)
+
+
+def bound_sweep_reports(T: int, delta: float, m: int, gamma: float, s2: float,
+                        a: float, b: float, r: float, dim: int) -> list[BoundReport]:
+    """Every closed-form bound at one (T, delta) on |X| = m points with noise
+    variance s2; the conditional bound takes the constant-shift s_T and the
+    chi-square quantile bound D = T."""
+    inputs = {"T": T, "delta": delta, "domain_size": m, "gamma": gamma, "noise_variance": s2}
+    s_T = ShiftedExpFinite(m).shift(T)
+    return [
+        BoundReport("expected_regret_bound_finite", inputs, bcr_bound_finite(T, m, s2, gamma)),
+        BoundReport("expected_regret_bound_continuous",
+                    {**inputs, "a": a, "b": b, "r": r, "dim": dim},
+                    bcr_bound_continuous(T, a, b, r, dim, s2, gamma)),
+        BoundReport("conditional_regret_bound", {**inputs, "s_T": s_T},
+                    conditional_bound_U(T, delta, s_T, s2, gamma)),
+        BoundReport("anytime_regret_bound", inputs, high_prob_bound(T, delta, m, s2, gamma)),
+        BoundReport("chi_square_upper_quantile", {"D": T, "delta": delta},
+                    laurent_bound(T, delta)),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Claim verifiers
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One judged statistic of a claim: its value, whether it passes, and a
+    report line (``randbo check`` appends ``-> PASS`` or ``-> FAIL``)."""
+
+    statistic: float
+    passed: bool
+    detail: str
+
+
+def chi_square_coverage_claim(n_mc: int, seed) -> list[Verdict]:
+    """P(chi-square_D > laurent_bound(D, delta)) <= delta, with no slack, for
+    D in (1, 10, 100) and delta in (0.01, 0.05, 0.2), drawn in that order.
+    False-alarm rate: not measured."""
+    rng = as_generator(seed)
+    verdicts = []
+    for D in (1, 10, 100):
+        for delta in (0.01, 0.05, 0.2):
+            exceed = float(np.mean(rng.chisquare(D, size=n_mc) > laurent_bound(D, delta)))
+            verdicts.append(Verdict(exceed, exceed <= delta, f"chi-square coverage D={D} "
+                                    f"delta={delta}: exceedance {exceed:.4f}"))
+    return verdicts
+
+
+def gaussian_tail_claim() -> Verdict:
+    """gaussian_tail_bound(c) >= ndtr(-c) for c = 0.1, 0.2, ..., 5.0; the
+    statistic is the smallest margin. Deterministic: no false alarms."""
+    margin = min(gaussian_tail_bound(float(c)) - float(ndtr(-c))
+                 for c in np.arange(0.1, 5.05, 0.1))
+    return Verdict(margin, margin >= 0.0, "normal tail dominance on c in [0.1, 5]:")
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +434,47 @@ def validate_optimum_bound(kernel: gp.Kernel, points, dataset,
         rhs_stderr=float(rhs_samples.std(ddof=1) / math.sqrt(n_mc)),
         n_mc=n_mc,
     )
+
+
+_LEMMA_SWEEP = 101  # substream tag of the sweep; engine purpose tags are below 100
+
+
+@dataclass(frozen=True)
+class SweepVerdict(Verdict):
+    rows: list  # (config_id, domain_size, n_data, family, dim, InequalityCheck)
+
+
+def optimum_bound_sweep(n_configs: int, max_grid: int, max_data: int, n_mc: int,
+                        noise_variance: float, noise_stddev: float, seed: int) -> SweepVerdict:
+    """``validate_optimum_bound`` on ``n_configs`` random configurations.
+
+    Configuration i draws from ``substream(seed, _LEMMA_SWEEP, i)``: 2..max_grid
+    points in 1..3 dimensions, 0..max_data noisy observations of a prior
+    draw, and a lengthscale in [0.1, 1); the family alternates between
+    squared exponential and Matern-5/2. It passes when every check holds; the
+    statistic is the worst (lhs - rhs) / combined standard error.
+    False-alarm rate: not measured.
+    """
+    rows = []
+    for i in range(n_configs):
+        rng = substream(seed, _LEMMA_SWEEP, i)
+        m = int(rng.integers(2, max_grid + 1))
+        n_data = int(rng.integers(0, max_data + 1))
+        dim = int(rng.integers(1, 4))
+        family = ("squared_exponential", "matern52")[i % 2]
+        kernel = gp.KernelSpec.isotropic(family, float(rng.uniform(0.1, 1.0)), dim)
+        points = rng.random((m, dim))
+        dataset = None
+        if n_data:
+            X = rng.random((n_data, dim))
+            y = gp.sample_prior(kernel, X, rng) + rng.normal(0.0, noise_stddev, size=n_data)
+            dataset = (X, y)
+        check = validate_optimum_bound(kernel, points, dataset, noise_variance, n_mc, rng)
+        rows.append((i, m, n_data, family, dim, check))
+    bad = sum(not c.holds() for *_, c in rows)
+    worst = max((c.lhs - c.rhs) / c.combined_stderr for *_, c in rows)
+    return SweepVerdict(worst, bad == 0, f"optimum-bound sweep: {n_configs} "
+                        f"configurations, {bad} violations", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +548,15 @@ def noise_event_curve(T: int, n_mc: int, seed) -> np.ndarray:
     return counts / n_mc
 
 
-def noise_event_frequency(T: int, n_mc: int, seed) -> float:
-    """P(the running noise average stays >= -1 for every t <= T), estimated."""
-    return float(noise_event_curve(T, n_mc, seed)[-1])
+def noise_event_claim(T: int, n_mc: int, seed) -> list[Verdict]:
+    """From one ``noise_event_curve``: P(T=1) within 3 binomial standard
+    errors of Phi(1), and P(T) >= 0.229, the analytic lower bound.
+    False-alarm rate: not measured."""
+    curve = noise_event_curve(T, n_mc, seed)
+    at_one, at_T, level = float(curve[0]), float(curve[-1]), float(ndtr(1.0))
+    near = abs(at_one - level) < 3 * math.sqrt(level * (1 - level) / n_mc)
+    return [Verdict(at_one, near, f"noise-event frequency T=1: {at_one:.4f} vs {level:.4f}"),
+            Verdict(at_T, at_T >= 0.229, f"noise-event frequency T={T}: {at_T:.4f} >= 0.229")]
 
 
 # ---------------------------------------------------------------------------
@@ -494,3 +629,66 @@ def late_window_slope_test(summary: RegretSummary) -> SlopeResult:
     if not 0 < half < three_quarters < T:
         raise ConfigurationError("late-window slope test needs a horizon of at least 3")
     return regret_slope_test(summary.at_horizon(three_quarters), summary, start=half)
+
+
+@dataclass(frozen=True)
+class SlopeVerdict(Verdict):
+    label: str
+    summary: RegretSummary
+    cumulative: SlopeResult  # short -> long horizon, cumulative averages
+    late: SlopeResult        # late_window_slope_test
+
+
+def judge_slopes(label: str, summary: RegretSummary, short_horizon: int) -> SlopeVerdict:
+    """The two-point verdict rule.
+
+    The randomized schedule (``irgp_ucb``) must read sublinear on the
+    cumulative short -> long ratio; its late-window ratio tends to about
+    0.76, below 0.8, so the late windows do tell a plateau from a decaying
+    rate. A constant schedule must read linear on the late-window ratio,
+    per-step regret over (3T/4, T] against (T/2, 3T/4]. Its cumulative ratio
+    carries the early transient every schedule goes through, and reads well
+    below 0.8 for beta = 1 and 2 even with infinitely many replications.
+    No per-step level is required: the paper promises Omega(T) growth with
+    an unspecified constant, and a correct UCB's plateaus on this instance
+    are about 0.024 / 0.015 / 0.0066 for beta = 0.5 / 1 / 2.
+    """
+    cumulative = regret_slope_test(summary.at_horizon(short_horizon), summary)
+    late = late_window_slope_test(summary)
+    name, judged, expected = (("ratio", cumulative, SUBLINEAR_CONSISTENT)
+                              if label == "irgp_ucb" else
+                              ("late_ratio", late, LINEAR_CONSISTENT))
+    detail = (f"{label}: ratio={cumulative.ratio:.3f} late_ratio={late.ratio:.3f} "
+              f"(late per-step {late.per_step_first:.4f} -> {late.per_step_second:.4f}) "
+              f"{name} verdict={judged.verdict} (expected {expected})")
+    return SlopeVerdict(judged.ratio, judged.verdict == expected, detail,
+                        label, summary, cumulative, late)
+
+
+def counterexample_slopes(constants, horizons: tuple[int, int], n_reps: int, seed: int,
+                          rho: float = 0.0, noise_variance: float = 1.0, n_jobs: int = 1,
+                          replicate=run_replications) -> list[SlopeVerdict]:
+    """Linear regret for constant-beta GP-UCB, sublinear for IRGP-UCB, on the
+    two-point instance.
+
+    Runs UCB with each constant (labelled ``constant_<c>``, c as given) and
+    then with the randomized schedule, n_reps replications up to the longer
+    of the (short, long) horizons through ``replicate`` (which has
+    ``run_replications``'s signature), and judges each by ``judge_slopes``.
+
+    False-alarm rates, from a conjugate reference simulation of a correct
+    engine: a constant beta = 2 reads below 0.8 on the late windows in 16%
+    of 80-rep samples (``randbo check counterexample --quick``; beta = 1 in
+    4.6%, beta = 0.5 in 1.9%) and in 3.7% of 500-rep samples. The late-window
+    statistic is a weak detector: 22-30% of 500-rep samples of a sublinear
+    schedule (IRGP-UCB, growing-beta GP-UCB) still read >= 0.8.
+    """
+    sampler = counterexample_instance(rho)
+    schedules = [(f"constant_{c}", Constant(float(c))) for c in constants]
+    results = []
+    for label, schedule in schedules + [("irgp_ucb", ShiftedExpFinite(2))]:
+        cfg = RunConfig(kernel=sampler.kernel, horizon=horizons[1], schedule=schedule,
+                        noise_variance=noise_variance)
+        traces = replicate(sampler, cfg, n_reps, seed, n_jobs)
+        results.append(judge_slopes(label, summarize_traces(traces), horizons[0]))
+    return results

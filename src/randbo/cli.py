@@ -8,7 +8,8 @@ Commands:
   bound-report JSON where applicable, the resolved ``config.txt``, and a
   manifest; config and seed determine every output byte.
 * ``randbo check {lemma42, counterexample, bounds} [--quick]`` runs the
-  built-in verification suites and exits 4 when a check fails.
+  built-in verification suites, each through its claims' verifiers in
+  ``analysis``, and exits 4 when a check fails.
 * ``randbo profile-confidence CONFIG [--out DIR]`` tabulates each
   configured schedule's analytic mean and 2.5%/97.5% quantiles per
   iteration.
@@ -28,13 +29,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import __version__, analysis, bench, confidence, gp
 from .config import (ALGORITHMS, ExperimentConfig, override, parse_config, parse_text,
@@ -51,12 +50,12 @@ from .rng import substream
 
 CHECK_FAILED = 4
 
-# substream tags local to experiment orchestration. Confidence sequence k
-# draws from key (k, _ZETA_SEQUENCES): a replication's keys are (rep,
-# purpose) with an engine purpose tag below 100, so no replication
-# requests it, whatever the replication count.
+# substream tag local to experiment orchestration (``analysis`` holds the
+# optimum-bound sweep's, 101). Confidence sequence k draws from key (k,
+# _ZETA_SEQUENCES): a replication's keys are (rep, purpose) with an engine
+# purpose tag below 100, so no replication requests it, whatever the
+# replication count.
 _ZETA_SEQUENCES = 100
-_LEMMA_SWEEP = 101
 
 
 def _cells(column) -> list[str]:
@@ -183,14 +182,6 @@ def _check_initial_design(config: ExperimentConfig, domain_size: int) -> None:
         raise ConfigurationError(f"initial.count exceeds the {domain_size} points of the domain")
 
 
-def _mean_realized_gain(traces, kernel, noise_variance: float) -> float:
-    gains = [
-        analysis.realized_information_gain(kernel, tr.selected_x, noise_variance)
-        for tr in traces
-    ]
-    return float(np.mean(gains))
-
-
 # ---------------------------------------------------------------------------
 # Experiment kinds
 # ---------------------------------------------------------------------------
@@ -250,7 +241,7 @@ def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
         outputs += [trace_file, summary_file]
 
         if finite and name == "irgp_ucb":
-            gain = _mean_realized_gain(traces, kernel, config.noise_variance)
+            gain = analysis.mean_realized_gain(traces, kernel, config.noise_variance)
             value = analysis.bcr_bound_finite(summary.horizon, domain_size,
                                               config.noise_variance, gain)
             reports.append(analysis.BoundReport.compare(
@@ -261,14 +252,8 @@ def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
                 value, summary.mean_cumulative_regret))
         if finite and name == "irgp_ucb_high_prob":
             delta = config["irgp_ucb_high_prob.delta"]
-            exceed = 0
-            for tr in traces:
-                gain = analysis.realized_information_gain(
-                    kernel, tr.selected_x, config.noise_variance)
-                bound = analysis.high_prob_bound(tr.horizon, delta, domain_size,
-                                                 config.noise_variance, gain)
-                exceed += tr.cumulative_regret[-1] > bound
-            frac = exceed / len(traces)
+            frac = analysis.high_prob_exceedance(traces, delta, domain_size, kernel,
+                                                 config.noise_variance)
             reports.append(analysis.BoundReport(
                 "anytime_regret_bound_coverage",
                 {"T": config.horizon, "delta": delta, "domain_size": domain_size,
@@ -339,111 +324,64 @@ def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], in
     return outputs, 0
 
 
-def _run_counterexample(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    sampler, _, _ = _domain(config)
+def _counterexample(config: ExperimentConfig, out: Path) -> list[analysis.SlopeVerdict]:
+    """Run and judge the two-point schedules; write their summaries and
+    ``slope_verdicts.json``."""
     horizons = sorted(config["counterexample.horizons"])
     if len(set(horizons)) < 2 or horizons[-1] < 3:
         raise ConfigurationError(
             "counterexample.horizons needs two distinct horizons, the longer at least 3")
-    t_short, t_long = horizons[0], horizons[-1]
-    schedules = [(confidence.Constant(float(c)), f"constant_{c}")
-                 for c in config["counterexample.constants"]]
-    schedules.append((confidence.ShiftedExpFinite(2), "irgp_ucb"))
-
-    def run(schedule, label):
-        cfg = RunConfig(kernel=sampler.kernel, horizon=t_long, schedule=schedule,
-                        noise_variance=config.noise_variance)
-        traces = run_replications(sampler, cfg, config.n_reps, config.base_seed,
-                                  config.n_jobs)
-        summary = analysis.summarize_traces(traces)
-        write_summary_csv(out / f"summary_{label}.csv", summary)
-        res = analysis.regret_slope_test(summary.at_horizon(t_short), summary)
-        late = analysis.late_window_slope_test(summary)
-        return f"summary_{label}.csv", {
-            "label": label,
-            "ratio": res.ratio,
-            "verdict": res.verdict,
-            "per_step_short": res.per_step_first,
-            "per_step_long": res.per_step_second,
-            "horizons": [t_short, t_long],
-            "late_ratio": late.ratio,
-            "late_verdict": late.verdict,
-            "late_per_step_first": late.per_step_first,
-            "late_per_step_second": late.per_step_second,
-        }
-
-    outputs: list[str] = []
-    verdicts = []
-    for schedule, label in schedules:
-        fname, verdict = run(schedule, label)
-        outputs.append(fname)
-        verdicts.append(verdict)
-
-    _write_json(out / "slope_verdicts.json", verdicts)
-    outputs.append("slope_verdicts.json")
-    return outputs, 0
+    horizons = (horizons[0], horizons[-1])
+    # Through this module's run_replications, which perfbench's study runner
+    # replaces to label each schedule's traces.
+    results = analysis.counterexample_slopes(
+        config["counterexample.constants"], horizons, config.n_reps, config.base_seed,
+        config["counterexample.rho"], config.noise_variance, config.n_jobs,
+        replicate=run_replications)
+    for res in results:
+        write_summary_csv(out / f"summary_{res.label}.csv", res.summary)
+    _write_json(out / "slope_verdicts.json", [{
+        "label": res.label, "horizons": horizons,
+        "ratio": res.cumulative.ratio, "verdict": res.cumulative.verdict,
+        "per_step_short": res.cumulative.per_step_first,
+        "per_step_long": res.cumulative.per_step_second,
+        "late_ratio": res.late.ratio, "late_verdict": res.late.verdict,
+        "late_per_step_first": res.late.per_step_first,
+        "late_per_step_second": res.late.per_step_second,
+    } for res in results])
+    return results
 
 
-def _run_lemma_check(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    rows = []
-    families = ("squared_exponential", "matern52")
-    for i in range(config["lemma.n_configs"]):
-        rng = substream(config.base_seed, _LEMMA_SWEEP, i)
-        m = int(rng.integers(2, config["lemma.max_grid"] + 1))
-        n_data = int(rng.integers(0, config["lemma.max_data"] + 1))
-        dim = int(rng.integers(1, 4))
-        family = families[i % 2]
-        kernel = gp.KernelSpec.isotropic(family, float(rng.uniform(0.1, 1.0)), dim)
-        points = rng.random((m, dim))
-        if n_data:
-            X = rng.random((n_data, dim))
-            y = gp.sample_prior(kernel, X, rng) + rng.normal(
-                0.0, config.noise_stddev, size=n_data)
-            dataset = (X, y)
-        else:
-            dataset = None
-        check = analysis.validate_optimum_bound(
-            kernel, points, dataset, config.noise_variance,
-            config["lemma.n_mc"], rng)
-        rows.append((i, m, n_data, family, dim, check.lhs, check.lhs_stderr,
-                     check.rhs, check.rhs_stderr, check.holds()))
+def _run_counterexample(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+    outputs = [f"summary_{res.label}.csv" for res in _counterexample(config, out)]
+    return outputs + ["slope_verdicts.json"], 0
 
-    columns = list(zip(*rows))
+
+def _lemma_sweep(config: ExperimentConfig, out: Path) -> analysis.SweepVerdict:
+    """Run the optimum-bound sweep and write ``lemma_check.csv``."""
+    sweep = analysis.optimum_bound_sweep(
+        config["lemma.n_configs"], config["lemma.max_grid"], config["lemma.max_data"],
+        config["lemma.n_mc"], config.noise_variance, config.noise_stddev, config.base_seed)
+    rows = [(*row, c.lhs, c.lhs_stderr, c.rhs, c.rhs_stderr, c.holds())
+            for *row, c in sweep.rows]
     _write_csv(out / "lemma_check.csv",
                ["config_id", "domain_size", "n_data", "family", "dim",
                 "lhs", "lhs_stderr", "rhs", "rhs_stderr", "holds"],
-               [columns])
-    return ["lemma_check.csv"], 0 if all(columns[-1]) else CHECK_FAILED
+               [list(zip(*rows))])
+    return sweep
+
+
+def _run_lemma_check(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+    return ["lemma_check.csv"], 0 if _lemma_sweep(config, out).passed else CHECK_FAILED
 
 
 def _run_bound_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    reports = []
-    m = config["bounds.domain_size"]
-    gamma = config["bounds.gamma"]
-    s2 = config.noise_variance
-    a, b, r = config["bounds.a"], config["bounds.b"], config["bounds.r"]
-    d = config["bounds.dim"]
-    for T in config["bounds.horizons"]:
-        for delta in (float(x) for x in config["bounds.deltas"]):
-            inputs = {"T": T, "delta": delta, "domain_size": m, "gamma": gamma,
-                      "noise_variance": s2}
-            reports.append(analysis.BoundReport(
-                "expected_regret_bound_finite", inputs,
-                analysis.bcr_bound_finite(T, m, s2, gamma)))
-            reports.append(analysis.BoundReport(
-                "expected_regret_bound_continuous",
-                {**inputs, "a": a, "b": b, "r": r, "dim": d},
-                analysis.bcr_bound_continuous(T, a, b, r, d, s2, gamma)))
-            s_T = confidence.ShiftedExpFinite(m).shift(T)
-            reports.append(analysis.BoundReport(
-                "conditional_regret_bound", {**inputs, "s_T": s_T},
-                analysis.conditional_bound_U(T, delta, s_T, s2, gamma)))
-            reports.append(analysis.BoundReport(
-                "anytime_regret_bound", inputs,
-                analysis.high_prob_bound(T, delta, m, s2, gamma)))
-            reports.append(analysis.BoundReport(
-                "chi_square_upper_quantile", {"D": T, "delta": delta},
-                analysis.laurent_bound(T, delta)))
+    reports = [
+        report for T in config["bounds.horizons"] for delta in config["bounds.deltas"]
+        for report in analysis.bound_sweep_reports(
+            T, float(delta), config["bounds.domain_size"], config["bounds.gamma"],
+            config.noise_variance, config["bounds.a"], config["bounds.b"],
+            config["bounds.r"], config["bounds.dim"])]
     write_bounds_json(out / "bounds.json", reports)
     return ["bounds.json"], 0
 
@@ -534,70 +472,28 @@ counterexample.horizons = 250, 1000
 """
 
 
+def _report(verdicts) -> int:
+    """Print each verdict's line; the suite's exit status."""
+    for v in verdicts:
+        print(f"{v.detail} -> {'PASS' if v.passed else 'FAIL'}")
+    return 0 if all(v.passed for v in verdicts) else CHECK_FAILED
+
+
 def _check_lemma42(out: Path, quick: bool) -> int:
     config = parse_text(LEMMA_CHECK_QUICK if quick else LEMMA_CHECK_CONFIG)
-    outputs, status = _run_lemma_check(config, out)
-    table = (out / "lemma_check.csv").read_text(encoding="utf-8").splitlines()
-    bad = [line for line in table[1:] if line.endswith("false")]
-    print(f"optimum-bound sweep: {len(table) - 1} configurations, "
-          f"{len(bad)} violations -> {'FAIL' if bad else 'PASS'}")
-    return status
+    return _report([_lemma_sweep(config, out)])
 
 
 def _check_counterexample(out: Path, quick: bool) -> int:
     config = parse_text(COUNTEREXAMPLE_QUICK if quick else COUNTEREXAMPLE_CONFIG)
-    _run_counterexample(config, out)
-    verdicts = json.loads((out / "slope_verdicts.json").read_text(encoding="utf-8"))
-    status = 0
-    for v in verdicts:
-        # The randomized schedule must read sublinear on the cumulative
-        # averages; a constant one must keep a flat per-step rate over the
-        # second half of the horizon, past the learning transient.
-        if v["label"] == "irgp_ucb":
-            judged, verdict, expected = "ratio", v["verdict"], analysis.SUBLINEAR_CONSISTENT
-        else:
-            judged, verdict, expected = "late_ratio", v["late_verdict"], analysis.LINEAR_CONSISTENT
-        ok = verdict == expected
-        status = status if ok else CHECK_FAILED
-        print(f"{v['label']}: ratio={v['ratio']:.3f} late_ratio={v['late_ratio']:.3f} "
-              f"(late per-step {v['late_per_step_first']:.4f} -> "
-              f"{v['late_per_step_second']:.4f}) {judged} verdict={verdict} "
-              f"(expected {expected}) -> {'PASS' if ok else 'FAIL'}")
-    return status
+    return _report(_counterexample(config, out))
 
 
 def _check_bounds(out: Path, quick: bool) -> int:
     n_mc = 20000 if quick else 100000
-    status = 0
-
-    freq_one = analysis.noise_event_frequency(1, n_mc, 0)
-    level = 0.8413447460685429
-    ok = abs(freq_one - level) < 3 * math.sqrt(level * (1 - level) / n_mc)
-    status = status if ok else CHECK_FAILED
-    print(f"noise-event frequency T=1: {freq_one:.4f} vs {level:.4f} -> "
-          f"{'PASS' if ok else 'FAIL'}")
-
-    horizon = 200 if quick else 1000
-    freq = analysis.noise_event_frequency(horizon, n_mc, 1)
-    ok = freq >= 0.229
-    status = status if ok else CHECK_FAILED
-    print(f"noise-event frequency T={horizon}: {freq:.4f} >= 0.229 -> "
-          f"{'PASS' if ok else 'FAIL'}")
-
-    rng = np.random.default_rng(42)
-    for D in (1, 10, 100):
-        for delta in (0.01, 0.05, 0.2):
-            exceed = np.mean(rng.chisquare(D, size=n_mc) > analysis.laurent_bound(D, delta))
-            ok = exceed <= delta
-            status = status if ok else CHECK_FAILED
-            print(f"chi-square coverage D={D} delta={delta}: exceedance "
-                  f"{exceed:.4f} -> {'PASS' if ok else 'FAIL'}")
-
-    grid = np.arange(0.1, 5.05, 0.1)
-    dominated = all(analysis.gaussian_tail_bound(float(c)) >= float(ndtr(-c)) for c in grid)
-    status = status if dominated else CHECK_FAILED
-    print(f"normal tail dominance on c in [0.1, 5]: -> {'PASS' if dominated else 'FAIL'}")
-    return status
+    return _report([*analysis.noise_event_claim(200 if quick else 1000, n_mc, 1),
+                    *analysis.chi_square_coverage_claim(n_mc, 42),
+                    analysis.gaussian_tail_claim()])
 
 
 CHECKS = {

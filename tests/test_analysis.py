@@ -371,7 +371,7 @@ class TestCounterexample:
 class TestNoiseEventFrequency:
     def test_single_step_matches_gaussian_cdf(self):
         n = 100000
-        freq = an.noise_event_frequency(1, n, 0)
+        freq = float(an.noise_event_curve(1, n, 0)[-1])
         want = 0.8413447460685429
         se_hat = math.sqrt(want * (1 - want) / n)
         assert abs(freq - want) < 3 * se_hat
@@ -381,7 +381,7 @@ class TestNoiseEventFrequency:
         assert np.all(np.diff(curve) <= 0.0)
 
     def test_reasonable_long_horizon_level(self):
-        freq = an.noise_event_frequency(200, 20000, 2)
+        freq = float(an.noise_event_curve(200, 20000, 2)[-1])
         assert freq >= 0.229  # analytic lower bound holds with big margin
 
 
@@ -440,6 +440,22 @@ class TestRegretSlope:
         t = np.arange(1, 1001)
         late = an.late_window_slope_test(self._summary(np.exp(-t / 200)))
         assert late.verdict == an.SUBLINEAR_CONSISTENT
+
+    def test_counterexample_rule_judges_each_label_on_its_own_ratio(self):
+        t = np.arange(1, 1001)
+        flat_tail = self._summary(0.05 + np.exp(-t / 50))
+        decaying = self._summary(1 / np.sqrt(t))
+        constant = an.judge_slopes("constant_2", flat_tail, 250)
+        randomized = an.judge_slopes("irgp_ucb", decaying, 250)
+        assert constant.passed and randomized.passed
+        assert constant.statistic == constant.late.ratio
+        assert randomized.statistic == randomized.cumulative.ratio
+        assert "late_ratio verdict=linear-consistent" in constant.detail
+        # With the per-label statistic swapped, both would fail.
+        assert constant.cumulative.verdict != an.LINEAR_CONSISTENT
+        assert randomized.late.verdict != an.SUBLINEAR_CONSISTENT
+        # A constant schedule whose per-step regret keeps decaying fails.
+        assert not an.judge_slopes("constant_1", self._summary(np.exp(-t / 200)), 250).passed
 
     def test_window_start_validated(self):
         first, second = self._summary(np.ones(10)), self._summary(np.ones(20))

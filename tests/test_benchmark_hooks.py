@@ -14,12 +14,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from randbo import cli, engine
-from randbo.confidence import DeterministicUcb
+from randbo import analysis, cli, engine
+from randbo.confidence import Constant, DeterministicUcb, ShiftedExpFinite
 from randbo.config import parse_text
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,6 +66,27 @@ def test_roster_calls_run_replications_per_algorithm_in_order(problem, tmp_path,
     monkeypatch.setattr(cli, "run_replications", recording)
     assert cli.run_experiment(config, tmp_path / "out") == 0
     assert calls == [("ei", type(None)), ("ucb", DeterministicUcb)]
+
+
+def test_counterexample_calls_the_traced_names_per_schedule(tmp_path, monkeypatch):
+    # The two-point workload's spans: two slope tests and one summary file per
+    # schedule, and the study's labels on run_replications in schedule order.
+    config = parse_text("kind = counterexample\nn_reps = 2\n"
+                        "counterexample.constants = 0.5, 1\ncounterexample.horizons = 4, 8\n")
+    calls, schedules = Counter(), []
+    for owner, attr in [(analysis, "regret_slope_test"), (cli, "write_summary_csv"),
+                        (cli, "run_replications")]:
+        def recording(*args, _real=getattr(owner, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            if _attr == "run_replications":
+                schedules.append(args[1].schedule)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, recording)
+    assert cli.run_experiment(config, tmp_path / "out") == 0
+    assert calls == {"run_replications": 3, "regret_slope_test": 6, "write_summary_csv": 3}
+    assert [type(s) for s in schedules] == [Constant, Constant, ShiftedExpFinite]
+    assert [s.c for s in schedules[:2]] == [0.5, 1.0]
 
 
 def _import(module: str, name: str):

@@ -590,6 +590,27 @@ class TestMainEntry:
         assert status == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_check_bounds_fails_on_a_broken_quantile_bound(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(analysis, "laurent_bound", lambda D, delta: 0.0)
+        status = cli.main(["check", "bounds", "--quick", "--out", str(tmp_path / "c")])
+        assert status == cli.CHECK_FAILED == 4
+        out = capsys.readouterr().out
+        assert out.count("exceedance 1.0000 -> FAIL") == 9
+        assert "noise-event frequency T=200" in out
+        assert "normal tail dominance on c in [0.1, 5]: -> PASS" in out
+
+    def test_check_lemma42_fails_on_a_violated_inequality(self, tmp_path, capsys, monkeypatch):
+        def violated(kernel, points, dataset, noise_variance, n_mc, rng):
+            return analysis.InequalityCheck(2.0, 0.1, 1.0, 0.1, n_mc)
+
+        monkeypatch.setattr(analysis, "validate_optimum_bound", violated)
+        status = cli.main(["check", "lemma42", "--quick", "--out", str(tmp_path / "c")])
+        assert status == cli.CHECK_FAILED == 4
+        assert capsys.readouterr().out == (
+            "optimum-bound sweep: 10 configurations, 10 violations -> FAIL\n")
+        assert (tmp_path / "c" / "lemma_check.csv").read_text().count(",false\n") == 10
+
 
 class TestFullRoster:
     def test_all_algorithms_end_to_end(self, tmp_path):
