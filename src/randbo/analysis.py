@@ -31,7 +31,7 @@ from .confidence import (RATE, Constant, Replay, ShiftedExpContinuous, ShiftedEx
                          ShiftedExpHighProb)
 from .engine import BoTrace, FiniteInstance, RunConfig, run_replications
 from .errors import ConfigurationError
-from .rng import as_generator, substream
+from .rng import LEMMA_SWEEP, as_generator, substream
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +436,6 @@ def validate_optimum_bound(kernel: gp.Kernel, points, dataset,
     )
 
 
-_LEMMA_SWEEP = 101  # substream tag of the sweep; engine purpose tags are below 100
-
-
 @dataclass(frozen=True)
 class SweepVerdict(Verdict):
     rows: list  # (config_id, domain_size, n_data, family, dim, InequalityCheck)
@@ -448,7 +445,7 @@ def optimum_bound_sweep(n_configs: int, max_grid: int, max_data: int, n_mc: int,
                         noise_variance: float, noise_stddev: float, seed: int) -> SweepVerdict:
     """``validate_optimum_bound`` on ``n_configs`` random configurations.
 
-    Configuration i draws from ``substream(seed, _LEMMA_SWEEP, i)``: 2..max_grid
+    Configuration i draws from ``substream(seed, LEMMA_SWEEP, i)``: 2..max_grid
     points in 1..3 dimensions, 0..max_data noisy observations of a prior
     draw, and a lengthscale in [0.1, 1); the family alternates between
     squared exponential and Matern-5/2. It passes when every check holds; the
@@ -457,7 +454,7 @@ def optimum_bound_sweep(n_configs: int, max_grid: int, max_data: int, n_mc: int,
     """
     rows = []
     for i in range(n_configs):
-        rng = substream(seed, _LEMMA_SWEEP, i)
+        rng = substream(seed, LEMMA_SWEEP, i)
         m = int(rng.integers(2, max_grid + 1))
         n_data = int(rng.integers(0, max_data + 1))
         dim = int(rng.integers(1, 4))
@@ -488,10 +485,11 @@ COUNTEREXAMPLE_VARIANCES = (1.0, 0.99)
 class CounterexampleSampler:
     """Two-candidate instance family with prior covariance [[1, rho], [rho, 0.99]].
 
-    Observation noise is standard normal and the surrogate uses the exact
-    prior, so runs on this family reproduce the regime where a constant
-    confidence parameter locks onto the wrong point with positive
-    probability. Calling the sampler draws a fresh objective pair.
+    Observation noise is N(0, ``noise_stddev``^2), standard normal by
+    default, and the surrogate uses the exact prior, so runs on this family
+    reproduce the regime where a constant confidence parameter locks onto
+    the wrong point with positive probability. Calling the sampler draws a
+    fresh objective pair.
     """
 
     rho: float = 0.0
@@ -666,7 +664,8 @@ def judge_slopes(label: str, summary: RegretSummary, short_horizon: int) -> Slop
 
 
 def counterexample_slopes(constants, horizons: tuple[int, int], n_reps: int, seed: int,
-                          rho: float = 0.0, noise_variance: float = 1.0, n_jobs: int = 1,
+                          rho: float = 0.0, noise_variance: float = 1.0,
+                          noise_stddev: float = 1.0, n_jobs: int = 1,
                           replicate=run_replications) -> list[SlopeVerdict]:
     """Linear regret for constant-beta GP-UCB, sublinear for IRGP-UCB, on the
     two-point instance.
@@ -675,6 +674,8 @@ def counterexample_slopes(constants, horizons: tuple[int, int], n_reps: int, see
     then with the randomized schedule, n_reps replications up to the longer
     of the (short, long) horizons through ``replicate`` (which has
     ``run_replications``'s signature), and judges each by ``judge_slopes``.
+    Observations carry N(0, ``noise_stddev``^2) noise; the surrogate assumes
+    ``noise_variance``.
 
     False-alarm rates, from a conjugate reference simulation of a correct
     engine: a constant beta = 2 reads below 0.8 on the late windows in 16%
@@ -683,7 +684,7 @@ def counterexample_slopes(constants, horizons: tuple[int, int], n_reps: int, see
     statistic is a weak detector: 22-30% of 500-rep samples of a sublinear
     schedule (IRGP-UCB, growing-beta GP-UCB) still read >= 0.8.
     """
-    sampler = counterexample_instance(rho)
+    sampler = CounterexampleSampler(rho, noise_stddev)
     schedules = [(f"constant_{c}", Constant(float(c))) for c in constants]
     results = []
     for label, schedule in schedules + [("irgp_ucb", ShiftedExpFinite(2))]:

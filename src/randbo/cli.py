@@ -46,16 +46,9 @@ from .engine import (
     run_replications,
 )
 from .errors import ConfigurationError, NumericalError, RandboError
-from .rng import substream
+from .rng import ZETA_SEQUENCES, substream
 
 CHECK_FAILED = 4
-
-# substream tag local to experiment orchestration (``analysis`` holds the
-# optimum-bound sweep's, 101). Confidence sequence k draws from key (k,
-# _ZETA_SEQUENCES): a replication's keys are (rep, purpose) with an engine
-# purpose tag below 100, so no replication requests it, whatever the
-# replication count.
-_ZETA_SEQUENCES = 100
 
 
 def _cells(column) -> list[str]:
@@ -204,7 +197,8 @@ def _domain(config: ExperimentConfig):
         instance = bench.ingest_tabular(config["tabular.path"], config["tabular.objective"])
         return instance, len(instance.points), instance.dim
     if config.kind == "counterexample":
-        return analysis.counterexample_instance(config["counterexample.rho"]), 2, 1
+        return analysis.CounterexampleSampler(config["counterexample.rho"],
+                                              config.noise_stddev), 2, 1
     grid = bench.GridSpec.uniform(config["grid.low"], config["grid.high"],
                                   config["grid.count"], config["grid.dim"])
     return grid, grid.size, grid.dim
@@ -291,7 +285,7 @@ def _run_conditional(config: ExperimentConfig, out: Path) -> tuple[list[str], in
     outputs: list[str] = []
     cond_means = []
     for k in range(config["conditional.n_sequences"]):
-        rng = substream(config.base_seed, k, _ZETA_SEQUENCES)
+        rng = substream(config.base_seed, k, ZETA_SEQUENCES)
         zeta = np.array([
             confidence.next_confidence(schedule, t, rng)
             for t in range(1, config.horizon + 1)
@@ -336,8 +330,8 @@ def _counterexample(config: ExperimentConfig, out: Path) -> list[analysis.SlopeV
     # replaces to label each schedule's traces.
     results = analysis.counterexample_slopes(
         config["counterexample.constants"], horizons, config.n_reps, config.base_seed,
-        config["counterexample.rho"], config.noise_variance, config.n_jobs,
-        replicate=run_replications)
+        config["counterexample.rho"], config.noise_variance, config.noise_stddev,
+        config.n_jobs, replicate=run_replications)
     for res in results:
         write_summary_csv(out / f"summary_{res.label}.csv", res.summary)
     _write_json(out / "slope_verdicts.json", [{

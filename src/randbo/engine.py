@@ -10,7 +10,9 @@ confidence parameter, select a candidate by the configured acquisition
 rule, observe a noisy value, update the posterior, and record regret. A
 complete per-iteration trace comes back for analysis. ``run_bo`` holds the
 loop and the acquisition dispatch; a posterior model, picked once by the
-instance's kind, holds everything else.
+instance's kind, holds everything else, the replication's one
+``gp.GpState`` included: ``run_bo`` passes the model a candidate index and
+reads the posterior through ``model.state``.
 
 The grid model of a finite instance maintains the posterior moments over all
 candidates incrementally alongside the state's Cholesky factor, which
@@ -51,8 +53,8 @@ block of one path. Grids keep the triangular solve (``gp.cross_solve``),
 which runs once per refit there, so their outputs are unchanged to the
 byte.
 
-A refit builds one state, the winner's (``gp.fit_state``), in a buffer
-sized for the observations still to come, so none of them copies it.
+A refit builds one state, the winner's (``gp.fit_state``), with rows for
+the observations still to come, so none of them copies it.
 
 ``run_replications`` draws each replication's instance first; on a fixed
 grid the synthetic sampler's draw is a mat-vec with the grid's cached prior
@@ -266,10 +268,14 @@ def _design_count(design) -> int | None:
 class _Model:
     """The posterior of one replication at the points it selects among.
 
-    ``initial_design`` comes first, ``refit(state)`` at the start and after
-    every refit; each iteration then calls ``moments``, ``path`` (TS, PIMS),
-    ``true_value`` and ``observe``.
+    The model owns the replication's ``gp.GpState``: ``initial_design``
+    comes first, then ``refit(state)`` hands it the state at the start and
+    after every refit. Each iteration calls ``moments``, ``path`` (TS,
+    PIMS), ``true_value`` and ``observe`` with a candidate index; ``observe``
+    grows ``self.state`` in place and the arrays derived from it.
     """
+
+    state: gp.GpState
 
     def __init__(self, instance: ProblemInstance, config: RunConfig,
                  feat_rng: np.random.Generator, path_rng: np.random.Generator):
@@ -304,10 +310,11 @@ class _GridModel(_Model):
         self.V = np.empty((self.config.horizon + len(idx) + 1, m))
         return idx, self.instance.points[idx], self.instance.true_values[idx]
 
-    def true_value(self, idx: int, x: np.ndarray) -> float:
+    def true_value(self, idx: int) -> float:
         return float(self.instance.true_values[idx])
 
     def refit(self, state: gp.GpState) -> None:
+        self.state = state
         pts, n = self.instance.points, state.n_obs
         prior = gp.prior_data(state.kernel, pts, factor=self.sampled)
         if self.sampled:
@@ -325,10 +332,11 @@ class _GridModel(_Model):
         self.mean = V0.T @ state.half_targets
         self.varsum = np.einsum("ij,ij->j", V0, V0)
 
-    def moments(self, state: gp.GpState, cand_rng: np.random.Generator):
+    def moments(self, cand_rng: np.random.Generator):
         return self.instance.points, self.mean, np.maximum(self.prior - self.varsum, 0.0)
 
-    def path(self, state: gp.GpState, t: int) -> np.ndarray:
+    def path(self, t: int) -> np.ndarray:
+        state = self.state
         n = state.n_obs
         if t > self.block_last:
             # The features hold until the next refit, at t = 1 + k p.
@@ -344,33 +352,28 @@ class _GridModel(_Model):
         return sample_posterior_path(state, self.paths[j], np.array(self.rows, dtype=int),
                                      self.V[:n], self.eps[j])
 
-    def observe(self, state: gp.GpState, idx: int, x: np.ndarray, y: float) -> gp.GpState:
+    def observe(self, idx: int, y: float) -> None:
         # The solve row for a grid point is already a column of V, and its
         # prior variance an entry of the cached diagonal, so the update
         # needs no triangular solve and no kernel evaluation.
+        state, x = self.state, self.instance.points[idx]
         n = state.n_obs
-        new_state = gp.incremental_update(state, x, y, l_row=self.V[:n, idx],
-                                          prior_var=self.prior[idx])
+        gp.incremental_update(state, x, y, l_row=self.V[:n, idx], prior_var=self.prior[idx])
         k_row = self.gram[idx] if self.gram is not None else gp.kernel_matrix(
-            new_state.kernel, x[None, :], self.instance.points)[0]
-        v = (k_row - new_state.chol[n, :n] @ self.V[:n]) / new_state.chol[n, n]
+            state.kernel, x[None, :], self.instance.points)[0]
+        v = (k_row - state.chol[n, :n] @ self.V[:n]) / state.chol[n, n]
         self.V[n] = v
-        self.mean += v * new_state.half_targets[n]
+        self.mean += v * state.half_targets[n]
         self.varsum += v * v
         self.rows.append(idx)
-        return new_state
 
 
 class _FreshModel(_Model):
     """A continuous instance's posterior at each iteration's fresh candidates.
 
-    The model holds L^-1 for the state it last produced (``refit`` or
-    ``observe``): one ``gp.inverse_factor`` per refit, then one row per
-    observation. A state it did not produce gets its inverse from
-    ``gp.inverse_factor`` again.
+    The model holds L^-1 for its state's factor: one ``gp.inverse_factor``
+    per refit, then one row per observation.
     """
-
-    state = None  # the state whose factor ``inv`` inverts
 
     def initial_design(self, design, rng: np.random.Generator):
         """(None, points, true values): ``design`` uniform points in the unit cube."""
@@ -382,20 +385,21 @@ class _FreshModel(_Model):
         size = self.config.horizon + count + 1
         self.inv = np.zeros((size, size))
         X = rng.random((count, self.instance.dim))
-        return None, X, np.array([self.true_value(None, x) for x in X])
+        return None, X, np.array([float(self.instance.objective(x)) for x in X])
 
-    def true_value(self, idx: int | None, x: np.ndarray) -> float:
-        return float(self.instance.objective(x))
+    def true_value(self, idx: int) -> float:
+        return float(self.instance.objective(self.pts[idx]))
 
     def refit(self, state: gp.GpState) -> None:
+        self.state = state
         n = state.n_obs
         self.inv[:n, :n] = gp.inverse_factor(state)
-        self.state = state
         if self.sampled:
             self.rff = build_rff(state.kernel, self.config.acquisition.num_features,
                                  self.feat_rng)
 
-    def moments(self, state: gp.GpState, cand_rng: np.random.Generator):
+    def moments(self, cand_rng: np.random.Generator):
+        state = self.state
         self.pts = cand_rng.random((self.instance.candidate_count, self.instance.dim))
         n = state.n_obs
         V = gp.kernel_matrix(state.kernel, state.inputs, self.pts)
@@ -404,33 +408,30 @@ class _FreshModel(_Model):
             # several times faster than the triangular solve with thousands
             # of right-hand sides. K^T is F-contiguous, so BLAS writes V^T
             # over K's own memory and no n x m result is allocated.
-            inv = self.inv[:n, :n] if state is self.state else gp.inverse_factor(state)
-            V = dtrmm(1.0, inv, V.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+            V = dtrmm(1.0, self.inv[:n, :n], V.T, side=1, lower=1, trans_a=1,
+                      overwrite_b=1).T
         self.V = V
         return self.pts, *gp.moments_from_solve(state, self.pts, V)
 
-    def path(self, state: gp.GpState, t: int) -> np.ndarray:
+    def path(self, t: int) -> np.ndarray:
+        state = self.state
         m, n = self.pts.shape[0], state.n_obs
         features = rff_features(self.rff, np.vstack([self.pts, state.inputs]))
         prior, eps = draw_prior_paths(features, [n], state.noise_variance, self.path_rng)
         return sample_posterior_path(state, prior[0], np.arange(m, m + n), self.V, eps[0])
 
-    def observe(self, state: gp.GpState, idx: int, x: np.ndarray, y: float) -> gp.GpState:
+    def observe(self, idx: int, y: float) -> None:
         # The new Cholesky row L^-1 k(X, x) is the candidate's column of the
-        # V that ``moments`` formed for this state, so the update evaluates
-        # no kernel and solves nothing. L^-1 of the extended factor
-        # [[L, 0], [l^T, p]] is L^-1 with the row [-l^T L^-1 / p, 1 / p]
-        # appended.
+        # V that ``moments`` formed, so the update evaluates no kernel and
+        # solves nothing. L^-1 of the extended factor [[L, 0], [l^T, p]] is
+        # L^-1 with the row [-l^T L^-1 / p, 1 / p] appended.
+        state = self.state
         n = state.n_obs
-        if state is not self.state:
-            self.inv[:n, :n] = gp.inverse_factor(state)
-        new_state = gp.incremental_update(state, x, y, l_row=self.V[:, idx])
-        pivot = new_state.chol[n, n]
-        self.inv[n, :n] = new_state.chol[n, :n] @ self.inv[:n, :n]
+        gp.incremental_update(state, self.pts[idx], y, l_row=self.V[:, idx])
+        pivot = state.chol[n, n]
+        self.inv[n, :n] = state.chol[n, :n] @ self.inv[:n, :n]
         self.inv[n, :n] /= -pivot
         self.inv[n, n] = 1.0 / pivot
-        self.state = new_state
-        return new_state
 
 
 def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
@@ -465,7 +466,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
     state = gp.empty_state(config.kernel, config.noise_variance, capacity=T + n_init + 1)
     for i in range(n_init):
         init_y[i] = init_f[i] + noise_rng.standard_normal() * instance.noise_stddev
-        state = gp.incremental_update(state, init_x[i], init_y[i])
+        gp.incremental_update(state, init_x[i], init_y[i])
     model.refit(state)
 
     sel_idx = np.empty(T, dtype=int)
@@ -481,41 +482,41 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
             if (
                 config.refit_period is not None
                 and (t - 1) % config.refit_period == 0
-                and state.n_obs > 0
+                and model.state.n_obs > 0
             ):
-                state = gp.fit_state(state.inputs, state.outputs, list(config.refit_grid),
-                                     config.noise_variance, capacity=T + n_init + 1)
-                model.refit(state)
+                model.refit(gp.fit_state(model.state.inputs, model.state.outputs,
+                                         list(config.refit_grid), config.noise_variance,
+                                         capacity=T + n_init + 1))
 
-            pts, mean, var = model.moments(state, cand_rng)
+            pts, mean, var = model.moments(cand_rng)
             if kind == "ucb":
                 beta = next_confidence(config.schedule, t, conf_rng)
                 zeta_val[t - 1] = beta
                 idx = int(np.argmax(ucb_scores(mean, var, beta)))
             elif kind == "ei":
-                incumbent = float(np.max(state.outputs)) if state.n_obs else 0.0
+                outputs = model.state.outputs
+                incumbent = float(np.max(outputs)) if outputs.size else 0.0
                 idx = int(np.argmax(expected_improvement(mean, var, incumbent)))
             else:  # ts, pims
-                path = model.path(state, t)
+                path = model.path(t)
                 if kind == "ts":
                     idx = int(np.argmax(path))
                 else:
                     idx = int(np.argmax(pims_scores(mean, var, float(np.max(path)))))
 
-            x_t = pts[idx]
-            f_t = model.true_value(idx, x_t)
+            f_t = model.true_value(idx)
             y_t = f_t + noise_rng.standard_normal() * instance.noise_stddev
 
             # Record the pre-update posterior now: a grid model updates its
             # moment arrays in place when the observation is appended.
             sel_idx[t - 1] = idx
-            sel_x[t - 1] = x_t
+            sel_x[t - 1] = pts[idx]
             obs_y[t - 1] = y_t
             mu_sel[t - 1] = mean[idx]
             sd_sel[t - 1] = np.sqrt(var[idx])
             regret[t - 1] = instance.optimum_value - f_t
 
-            state = model.observe(state, idx, x_t, y_t)
+            model.observe(idx, y_t)
     except NumericalError as exc:
         raise NumericalError(f"iteration {t}: {exc}") from exc
 

@@ -28,13 +28,14 @@ than the solve and agrees with it to rounding, not bit for bit. A caller
 that extends the factor one observation at a time can extend L^-1 by one
 row instead of inverting again (see ``engine._FreshModel``).
 
-States are value-semantic: ``incremental_update`` returns a new state and
-never mutates the old one. Successive states along one history share a
-growable backing buffer, so a T-step run costs O(T^3) total instead of
-O(T^4); forking a state (updating a non-tip state twice) silently copies.
+A state owns its arrays and grows in place: ``incremental_update`` appends
+one observation to the state it is given, in rows allocated ahead and
+doubled when full, so a T-step run costs O(T^3) total instead of O(T^4).
+One replication has one state, held by its engine model; a caller that
+needs the state before an update keeps a copy of what it reads.
 ``batch_state`` and ``fit_state`` factor a whole dataset through one
 helper; ``fit_state`` scores every kernel of its grid from the factor and
-builds only the pick's state, in a buffer of the caller's ``capacity``.
+builds only the pick's state, with rows for the caller's ``capacity``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -219,80 +220,64 @@ def kernel_diag(kernel: Kernel, X) -> np.ndarray:
     return np.full(X.shape[0], kernel.signal_variance)
 
 
-class _Buffer:
-    """Append-only backing store shared by successive states of one history.
-
-    Rows below ``size`` are immutable once written, so older states reading
-    their prefix views are never affected by later appends. An append to a
-    state that is not the tip (``size`` has moved past it) copies the prefix
-    first. Not thread-safe: replications run in separate processes.
-    """
-
-    __slots__ = ("x", "y", "chol", "wy", "size")
-
-    def __init__(self, dim: int, capacity: int):
-        capacity = max(capacity, 8)
-        self.x = np.empty((capacity, dim))
-        self.y = np.empty(capacity)
-        self.chol = np.zeros((capacity, capacity))
-        self.wy = np.empty(capacity)
-        self.size = 0
-
-    @property
-    def capacity(self) -> int:
-        return self.y.shape[0]
-
-    def copy_prefix(self, n: int, extra: int) -> "_Buffer":
-        out = _Buffer(self.x.shape[1], max(2 * n, n + extra, 8))
-        out.x[:n] = self.x[:n]
-        out.y[:n] = self.y[:n]
-        out.chol[:n, :n] = self.chol[:n, :n]
-        out.wy[:n] = self.wy[:n]
-        out.size = n
-        return out
-
-
-@dataclass(frozen=True)
 class GpState:
     """Posterior state after conditioning on ``n_obs`` noisy observations.
 
-    Wraps the lower Cholesky factor of (K + sigma^2 I) over the observed
+    Holds the lower Cholesky factor of (K + sigma^2 I) over the observed
     inputs together with the half-solved targets L^-1 y, which is all the
-    posterior equations need.
+    posterior equations need. The arrays have rows for at least
+    ``capacity`` observations and double when an update finds them full;
+    the factor's upper triangle stays zero.
     """
 
-    kernel: Kernel
-    noise_variance: float
-    _buf: _Buffer = field(repr=False)
-    n_obs: int
+    __slots__ = ("kernel", "noise_variance", "n_obs", "_x", "_y", "_chol", "_wy")
+
+    def __init__(self, kernel: Kernel, noise_variance: float, capacity: int):
+        capacity = max(capacity, 8)
+        self.kernel = kernel
+        self.noise_variance = float(noise_variance)
+        self.n_obs = 0
+        self._x = np.empty((capacity, kernel.dim))
+        self._y = np.empty(capacity)
+        self._chol = np.zeros((capacity, capacity))
+        self._wy = np.empty(capacity)
 
     @property
     def inputs(self) -> np.ndarray:
-        return self._buf.x[: self.n_obs]
+        return self._x[: self.n_obs]
 
     @property
     def outputs(self) -> np.ndarray:
-        return self._buf.y[: self.n_obs]
+        return self._y[: self.n_obs]
 
     @property
     def chol(self) -> np.ndarray:
-        return self._buf.chol[: self.n_obs, : self.n_obs]
+        return self._chol[: self.n_obs, : self.n_obs]
 
     @property
     def half_targets(self) -> np.ndarray:
         """L^-1 y for the current observation set."""
-        return self._buf.wy[: self.n_obs]
+        return self._wy[: self.n_obs]
 
     @property
     def dim(self) -> int:
-        return self._buf.x.shape[1]
+        return self._x.shape[1]
+
+    def _double(self) -> None:
+        """Move the observations into arrays of twice the capacity."""
+        cap = self._y.shape[0]
+        chol = np.zeros((2 * cap, 2 * cap))
+        chol[:cap, :cap] = self._chol
+        self._chol = chol
+        self._x, self._y, self._wy = (np.concatenate((a, np.empty_like(a)))
+                                      for a in (self._x, self._y, self._wy))
 
 
 def empty_state(kernel: Kernel, noise_variance: float, capacity: int = 64) -> GpState:
     """Fresh state with no observations; posterior equals the prior."""
     if not noise_variance > 0:
         raise ConfigurationError("noise_variance must be positive")
-    return GpState(kernel, float(noise_variance), _Buffer(kernel.dim, capacity), 0)
+    return GpState(kernel, noise_variance, capacity)
 
 
 def _dataset(kernel: Kernel, X, y, noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
@@ -324,15 +309,12 @@ def _factor(kernel: Kernel, X: np.ndarray, y: np.ndarray,
 
 def _state(kernel: Kernel, noise_variance: float, X: np.ndarray, y: np.ndarray,
            L: np.ndarray, wy: np.ndarray, capacity: int) -> GpState:
-    """A state holding the dataset and its factor, in a buffer of at least ``capacity`` rows."""
+    """A state holding the dataset and its factor, with rows for at least ``capacity``."""
     n = X.shape[0]
-    buf = _Buffer(kernel.dim, max(n, capacity))
-    buf.x[:n] = X
-    buf.y[:n] = y
-    buf.chol[:n, :n] = L
-    buf.wy[:n] = wy
-    buf.size = n
-    return GpState(kernel, float(noise_variance), buf, n)
+    state = GpState(kernel, noise_variance, max(n, capacity))
+    state._x[:n], state._y[:n], state._chol[:n, :n], state._wy[:n] = X, y, L, wy
+    state.n_obs = n
+    return state
 
 
 def batch_state(kernel: Kernel, X, y, noise_variance: float) -> GpState:
@@ -343,11 +325,14 @@ def batch_state(kernel: Kernel, X, y, noise_variance: float) -> GpState:
 
 def incremental_update(state: GpState, x, y: float, l_row=None,
                        prior_var: float | None = None) -> GpState:
-    """Return the state extended by one observation (x, y).
+    """Extend the state by one observation (x, y), in place, and return it.
 
     Equivalent to a from-scratch rebuild on the extended dataset; the new
     Cholesky row comes from one triangular solve against the existing
-    factor. The caller's state is untouched.
+    factor. The observation is appended in place, into the state's next
+    free row, after the arrays double if they are full. Every check and
+    the new row are computed first, so an update that raises leaves the
+    state as it was.
 
     ``l_row`` optionally supplies L^-1 k(inputs, x), which callers that
     form the columns of their candidates already hold. It becomes the new
@@ -381,7 +366,6 @@ def incremental_update(state: GpState, x, y: float, l_row=None,
         wy_dot = float(l_row @ state.half_targets)
         ll = float(l_row @ l_row)
     else:
-        l_row = np.empty(0)
         wy_dot = 0.0
         ll = 0.0
 
@@ -394,18 +378,16 @@ def incremental_update(state: GpState, x, y: float, l_row=None,
     else:
         pivot = math.sqrt(pivot_sq)
 
-    buf = state._buf
-    if buf.size != n or n >= buf.capacity:
-        buf = buf.copy_prefix(n, extra=1)
-    row = buf.size
-    buf.x[row] = x
-    buf.y[row] = y
+    if n == state._y.shape[0]:
+        state._double()
+    state._x[n] = x
+    state._y[n] = y
     if n:
-        buf.chol[row, :n] = l_row
-    buf.chol[row, row] = pivot
-    buf.wy[row] = (y - wy_dot) / pivot
-    buf.size = row + 1
-    return GpState(state.kernel, state.noise_variance, buf, n + 1)
+        state._chol[n, :n] = l_row
+    state._chol[n, n] = pivot
+    state._wy[n] = (y - wy_dot) / pivot
+    state.n_obs = n + 1
+    return state
 
 
 def cross_solve(state: GpState, X) -> np.ndarray:
@@ -437,7 +419,7 @@ def inverse_factor(state: GpState) -> np.ndarray:
     """
     if state.n_obs == 0:
         return np.empty((0, 0))
-    # The factor's upper triangle is zero in the state's buffer, and dtrtri
+    # The factor's upper triangle is zero in the state's arrays, and dtrtri
     # leaves it so.
     inv, info = dtrtri(state.chol, lower=1)
     if info != 0:
@@ -639,8 +621,9 @@ def fit_state(inputs, outputs, grid: list[KernelSpec], noise_variance: float,
 
     Each grid element is scored from its factor and half-solved targets,
     and only the pick's state is built: bit for bit its ``batch_state``,
-    in a buffer of at least ``capacity`` rows, so a caller that sizes it
-    to the observations still to come appends them in place. Ties break
+    with rows for at least ``capacity`` observations, so a caller that
+    sizes it to the observations still to come appends them without a
+    copy. Ties break
     toward the lowest grid index; an empty dataset ties everywhere and
     falls back to the first grid element.
     """

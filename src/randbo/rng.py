@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Purpose tags for engine substreams. Values are part of the reproducibility
-# contract: changing them changes every trace.
+# Purpose tags. Values are part of the reproducibility contract: changing
+# them changes every trace. A replication's streams are keyed (rep, purpose)
+# with an engine tag, all below 100. A stream drawn outside the replications
+# puts a tag from 100 up in the purpose place, so no replication requests
+# it, whatever the replication count.
 NOISE = 0
 CONFIDENCE = 1
 PATHS = 2
@@ -20,6 +23,12 @@ CANDIDATES = 3
 INITIAL = 4
 INSTANCE = 5
 FEATURES = 6
+# Confidence sequence k of a conditional-regret study: key (k, ZETA_SEQUENCES).
+ZETA_SEQUENCES = 100
+# Configuration i of the optimum-bound sweep: key (LEMMA_SWEEP, i), the one
+# tag in the replication's place. The sweep runs no replications, so no key
+# of its run is a replication's.
+LEMMA_SWEEP = 101
 
 
 def substream(base_seed: int, *key: int) -> np.random.Generator:

@@ -325,6 +325,20 @@ class TestRunExperiment:
                       "slope_verdicts.json", "manifest.json", "config.txt"):
             assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes(), fname
 
+    def test_counterexample_observes_the_configured_noise(self, tmp_path, monkeypatch):
+        samplers = []
+
+        def recording(sampler, *args):
+            samplers.append(sampler)
+            return original(sampler, *args)
+
+        original = cli.run_replications
+        monkeypatch.setattr(cli, "run_replications", recording)
+        _, _, status = self.run_into(tmp_path, COUNTEREXAMPLE_SMALL + "noise_variance = 0.25\n")
+        assert status == 0
+        assert len(samplers) == 2
+        assert all(s.noise_stddev == 0.5 for s in samplers)
+
     def test_counterexample_verdict_file(self, tmp_path):
         _, out, status = self.run_into(tmp_path, COUNTEREXAMPLE_SMALL)
         assert status == 0

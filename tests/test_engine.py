@@ -311,17 +311,25 @@ class TestFreshModelMoments:
     solve of ``gp.posterior_batch`` to rounding, even on the ill-conditioned
     states of a long lengthscale and small noise."""
 
+    @staticmethod
+    def model(state, m):
+        """A model refit to ``state`` as ``run_bo`` builds one, the state
+        standing in for an initial design of its own size."""
+        inst = ContinuousInstance(_objective, state.dim, m, 0.0, 0.0)
+        cfg = RunConfig(kernel=state.kernel, horizon=1, schedule=Constant(1.0),
+                        noise_variance=state.noise_variance, initial_design=state.n_obs)
+        model = engine._FreshModel(inst, cfg, None, None)
+        model.initial_design(cfg.initial_design, np.random.default_rng(0))
+        model.refit(state)
+        return model
+
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("n", [0, 4, 104, 216])
     def test_moments_match_posterior_batch(self, dim, n):
         rng = np.random.default_rng(100 * dim + n)
         X, y = rng.random((n, dim)), rng.normal(scale=3.0, size=n)
         state = gp.batch_state(se(dim, ell=1.0), X, y, 1e-4)
-        inst = ContinuousInstance(_objective, dim, 500, 0.0, 0.0)
-        cfg = RunConfig(kernel=state.kernel, horizon=1, schedule=Constant(1.0),
-                        noise_variance=1e-4)
-        model = engine._FreshModel(inst, cfg, None, None)
-        pts, mean, var = model.moments(state, np.random.default_rng(7))
+        pts, mean, var = self.model(state, 500).moments(np.random.default_rng(7))
         np.testing.assert_array_equal(pts, np.random.default_rng(7).random((500, dim)))
         ref_mean, ref_var = gp.posterior_batch(state, pts)
         scale = 1.0 + (np.max(np.abs(y)) if n else 0.0)
@@ -337,11 +345,8 @@ class TestFreshModelMoments:
         rng = np.random.default_rng(1000 * n + m)
         X, y = rng.random((n, 3)), rng.normal(size=n)
         state = gp.batch_state(se(3), X, y, 1e-4)
-        inst = ContinuousInstance(_objective, 3, m, 0.0, 0.0)
-        cfg = RunConfig(kernel=state.kernel, horizon=1, schedule=Constant(1.0),
-                        noise_variance=1e-4)
-        model = engine._FreshModel(inst, cfg, None, None)
-        pts, mean, var = model.moments(state, np.random.default_rng(n + m))
+        model = self.model(state, m)
+        pts, mean, var = model.moments(np.random.default_rng(n + m))
         ref_V = gp.cross_solve(state, pts)
         assert model.V.shape == ref_V.shape == (n, m)
         if n:
@@ -357,13 +362,12 @@ class TestFreshModelMoments:
 class TestFreshModelInverse:
     """The fresh-candidate model holds L^-1: ``gp.inverse_factor`` at a
     refit, then one appended row per observation. It must track a fresh
-    inversion of the factor, and a state it did not produce must get its
-    own inverse."""
+    inversion of the factor, and invert only at refits."""
 
     @staticmethod
     def grow(dim, ell, noise_variance, horizon, seed):
-        """A model and the state it produced through ``horizon`` UCB-like
-        observations from an empty start, with no refit."""
+        """A model after ``horizon`` UCB-like observations from an empty
+        start, with no refit."""
         kernel = se(dim, ell=ell)
         inst = ContinuousInstance(_objective, dim, 200, 0.0, 0.0)
         cfg = RunConfig(kernel=kernel, horizon=horizon, schedule=Constant(1.0),
@@ -371,48 +375,45 @@ class TestFreshModelInverse:
         model = engine._FreshModel(inst, cfg, None, None)
         rng = np.random.default_rng(seed)
         model.initial_design(0, rng)
-        state = gp.empty_state(kernel, noise_variance, capacity=horizon + 1)
-        model.refit(state)
+        model.refit(gp.empty_state(kernel, noise_variance, capacity=horizon + 1))
         for _ in range(horizon):
-            pts, mean, var = model.moments(state, rng)
+            pts, mean, var = model.moments(rng)
             idx = int(np.argmax(mean + np.sqrt(var)))
-            y = _objective(pts[idx]) + 0.01 * rng.standard_normal()
-            state = model.observe(state, idx, pts[idx], y)
-        return model, state
+            model.observe(idx, _objective(pts[idx]) + 0.01 * rng.standard_normal())
+        return model
 
     def test_grown_inverse_tracks_a_fresh_inversion(self):
         # 320 observations under an ill-conditioned SE kernel (long
         # lengthscale, small noise): the appended rows must not drift from
         # dtrtri's inverse, and the moments must agree with the solve to
         # TestFreshModelMoments' tolerances.
-        model, state = self.grow(2, 1.0, 1e-4, 320, 3)
+        model = self.grow(2, 1.0, 1e-4, 320, 3)
+        state = model.state
         n = state.n_obs
+        assert n == 320
         ref = gp.inverse_factor(state)
         assert np.max(np.abs(model.inv[:n, :n] - ref)) <= 1e-12 * np.max(np.abs(ref))
         np.testing.assert_array_equal(np.triu(model.inv[:n, :n], 1), 0.0)
-        pts, mean, var = model.moments(state, np.random.default_rng(7))
+        pts, mean, var = model.moments(np.random.default_rng(7))
         ref_mean, ref_var = gp.posterior_batch(state, pts)
         assert np.max(np.abs(mean - ref_mean)) <= 1e-10 * (1.0 + np.max(np.abs(state.outputs)))
         assert np.max(np.abs(var - ref_var)) <= 1e-12
 
-    def test_state_from_elsewhere_is_inverted_again(self):
-        # A state the model did not produce (an equal one rebuilt by
-        # batch_state) takes dtrtri's inverse in moments and in observe, and
-        # the row observe appends extends that inverse.
-        model, state = self.grow(2, 0.4, 1e-3, 12, 5)
-        other = gp.batch_state(state.kernel, state.inputs, state.outputs, 1e-3)
-        # Nothing held may be read for another state. (The upper triangle
-        # stays zero: the model writes only on and below the diagonal.)
-        model.inv[np.tril_indices(model.inv.shape[0])] = np.nan
-        pts, mean, var = model.moments(other, np.random.default_rng(2))
-        ref_mean, ref_var = gp.posterior_batch(other, pts)
-        assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * (1.0 + np.max(np.abs(ref_mean)))
-        assert np.max(np.abs(var - ref_var)) <= 1e-12
-        new = model.observe(other, 0, pts[0], 0.5)
-        assert model.state is new
-        n = new.n_obs
-        ref = gp.inverse_factor(new)
-        assert np.max(np.abs(model.inv[:n, :n] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    def test_inverts_at_the_start_and_at_each_refit_only(self, monkeypatch):
+        # Refits at t = 1, 6, 11 of 12 after a 3-point design: dtrtri runs
+        # on the design's state and on each refit's, never per observation.
+        inverted = []
+        inverse = gp.inverse_factor
+        monkeypatch.setattr(gp, "inverse_factor",
+                            lambda state: inverted.append(state.n_obs) or inverse(state))
+        inst = ContinuousInstance(_objective, 2, 50, 0.0, 0.0)
+        cfg = RunConfig(kernel=se(2), horizon=12, schedule=Constant(1.0),
+                        noise_variance=1e-3, initial_design=3, refit_period=5,
+                        refit_grid=(se(2, ell=0.2), se(2, ell=0.5)))
+        for rep in range(2):
+            inverted.clear()
+            run_bo(inst, cfg, 4, rep=rep)
+            assert inverted == [3, 3, 8, 13]
 
 
 class TestFreshModelReplay:

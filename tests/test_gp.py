@@ -15,6 +15,9 @@ def se_kernel(dim=1, ell=1.0, sv=1.0):
     return gp.KernelSpec.isotropic("squared_exponential", ell, dim, sv)
 
 
+STATE_ARRAYS = ("inputs", "outputs", "chol", "half_targets")
+
+
 class TestKernelEval:
     def test_se_identity(self):
         assert gp.kernel_matrix(se_kernel(), [0.0], [0.0])[0, 0] == pytest.approx(1.0)
@@ -195,13 +198,18 @@ class TestIncrementalUpdate:
             state = gp.incremental_update(state, [0.0], 0.0)
         assert state.chol[1, 1] == pytest.approx(1e-5)
 
+    NOISE = 1e-2
+
+    @classmethod
+    def one_observation(cls):
+        return gp.incremental_update(gp.empty_state(se_kernel(), cls.NOISE), [0.0], 0.0)
+
     # A supplied l_row whose squared norm exceeds k(x, x) + noise by
     # ``deficit`` leaves a pivot of -deficit; the jitter may cover it only
     # up to JITTER_MAX times the signal variance, as in prior factorizations.
-    def pivot_deficit_update(self, deficit):
-        noise = 1e-2
-        state = gp.incremental_update(gp.empty_state(se_kernel(), noise), [0.0], 0.0)
-        l_row = np.array([math.sqrt(1.0 + noise + deficit)])
+    def pivot_deficit_update(self, deficit, state=None):
+        state = self.one_observation() if state is None else state
+        l_row = np.array([math.sqrt(1.0 + self.NOISE + deficit)])
         return gp.incremental_update(state, [0.5], 0.0, l_row=l_row)
 
     def test_pivot_jitter_stops_at_the_cap(self):
@@ -233,28 +241,45 @@ class TestIncrementalUpdate:
         else:
             X = rng.random((12, 2))
         y = rng.normal(size=12)
-        plain = given = gp.empty_state(kernel, 1e-3)
+        plain, given = gp.empty_state(kernel, 1e-3), gp.empty_state(kernel, 1e-3)
         for x, obs in zip(X, y):
-            plain = gp.incremental_update(plain, x, obs)
-            given = gp.incremental_update(given, x, obs,
-                                          prior_var=gp.kernel_diag(kernel, x[None, :])[0])
-        for name in ("inputs", "outputs", "chol", "half_targets"):
+            gp.incremental_update(plain, x, obs)
+            gp.incremental_update(given, x, obs,
+                                  prior_var=gp.kernel_diag(kernel, x[None, :])[0])
+        for name in STATE_ARRAYS:
             np.testing.assert_array_equal(getattr(given, name), getattr(plain, name))
 
-    def test_value_semantics_on_fork(self):
-        # Updating the same parent twice must not corrupt either child.
-        kernel = se_kernel(dim=1)
-        parent = gp.incremental_update(gp.empty_state(kernel, 0.1), [0.0], 1.0)
-        child_a = gp.incremental_update(parent, [0.5], 2.0)
-        child_b = gp.incremental_update(parent, [-0.5], -2.0)
-        assert parent.n_obs == 1 and child_a.n_obs == 2 and child_b.n_obs == 2
-        oracle_a = gp.batch_state(kernel, [[0.0], [0.5]], [1.0, 2.0], 0.1)
-        oracle_b = gp.batch_state(kernel, [[0.0], [-0.5]], [1.0, -2.0], 0.1)
-        for child, oracle in ((child_a, oracle_a), (child_b, oracle_b)):
-            got_mean, got_var = gp.posterior_batch(child, [0.25])
-            want_mean, want_var = gp.posterior_batch(oracle, [0.25])
-            assert got_mean[0] == pytest.approx(want_mean[0], abs=1e-12)
-            assert got_var[0] == pytest.approx(want_var[0], abs=1e-12)
+    @pytest.mark.parametrize("case", ["non_finite_y", "l_row_shape", "pivot_past_cap"])
+    def test_update_that_raises_leaves_the_state_untouched(self, case):
+        # Updates write into the state they are given, so one that raises
+        # must raise before it writes.
+        state = self.one_observation()
+        before = [getattr(state, name).copy() for name in STATE_ARRAYS]
+        with pytest.raises((ObservationError, ConfigurationError, NumericalError)):
+            if case == "non_finite_y":
+                gp.incremental_update(state, [0.3], float("nan"))
+            elif case == "l_row_shape":
+                gp.incremental_update(state, [0.3], 1.0, l_row=np.zeros(3))
+            else:
+                self.pivot_deficit_update(5e-4, state)
+        assert state.n_obs == 1
+        for name, want in zip(STATE_ARRAYS, before):
+            np.testing.assert_array_equal(getattr(state, name), want)
+
+    def test_growth_past_capacity_keeps_every_observation(self):
+        # A state starts with rows for 8 observations and doubles when full;
+        # the observations it moves must be those a from-scratch build holds.
+        rng = np.random.default_rng(3)
+        kernel = se_kernel(dim=2, ell=0.5)
+        X, y = rng.random((20, 2)), rng.normal(size=20)
+        state = gp.empty_state(kernel, 1e-2, capacity=1)
+        for x, obs in zip(X, y):
+            assert gp.incremental_update(state, x, obs) is state
+        batch = gp.batch_state(kernel, X, y, 1e-2)
+        np.testing.assert_array_equal(state.inputs, X)
+        np.testing.assert_array_equal(state.outputs, y)
+        np.testing.assert_allclose(state.chol, batch.chol, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.half_targets, batch.half_targets, rtol=0, atol=1e-10)
 
 
 class TestPosteriorInvariants:
@@ -398,7 +423,7 @@ class TestFitHyperparameters:
         state = gp.fit_state(X, y, grid, 1e-4)
         assert state.kernel is gp.fit_hyperparameters(X, y, grid, 1e-4)
         rebuilt = gp.batch_state(state.kernel, X, y, 1e-4)
-        for name in ("inputs", "outputs", "chol", "half_targets"):
+        for name in STATE_ARRAYS:
             np.testing.assert_array_equal(getattr(state, name), getattr(rebuilt, name))
 
     def test_capacity_lets_the_next_observation_append_in_place(self):
@@ -406,8 +431,11 @@ class TestFitHyperparameters:
         X, y = rng.random((25, 2)), rng.normal(size=25)
         grid = [se_kernel(dim=2, ell=ell) for ell in (0.2, 0.5)]
         state = gp.fit_state(X, y, grid, 1e-4, capacity=40)
+        held = [getattr(state, name) for name in STATE_ARRAYS]
         new = gp.incremental_update(state, rng.random(2), 0.3)
-        assert new._buf is state._buf
+        assert new is state and new.n_obs == 26
+        for name, before in zip(STATE_ARRAYS, held):
+            assert np.shares_memory(getattr(new, name), before), name
         rebuilt = gp.batch_state(state.kernel, new.inputs, new.outputs, 1e-4)
         np.testing.assert_allclose(new.chol, rebuilt.chol, rtol=0, atol=1e-12)
 
