@@ -39,7 +39,6 @@ from . import __version__, analysis, bench, confidence, gp
 from .config import (ALGORITHMS, ExperimentConfig, override, parse_config, parse_text,
                      serialize_config)
 from .engine import (
-    AcquisitionSpec,
     ContinuousInstance,
     FixedInstanceSampler,
     RunConfig,
@@ -140,17 +139,16 @@ def build_refit_grid(config: ExperimentConfig, dim: int):
 
 
 def build_algorithm(name: str, config: ExperimentConfig, domain_size: int,
-                    dim: int) -> tuple[AcquisitionSpec, object]:
-    """(acquisition, schedule-or-None) of an algorithm, from its
+                    dim: int) -> tuple[str, object]:
+    """(acquisition kind, schedule-or-None) of an algorithm, from its
     ``config.ALGORITHMS`` entry: UCB with the schedule it builds, or the
     acquisition of its own name when it has none."""
     if name not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {name!r}")
     make = ALGORITHMS[name]
     if make is None:
-        return AcquisitionSpec(name, config["acquisition.num_features"]), None
-    return (AcquisitionSpec("ucb", config["acquisition.num_features"]),
-            make(config, domain_size, dim))
+        return name, None
+    return "ucb", make(config, domain_size, dim)
 
 
 def _run_config_for(config: ExperimentConfig, name: str, domain_size: int,
@@ -161,6 +159,7 @@ def _run_config_for(config: ExperimentConfig, name: str, domain_size: int,
         kernel=kernel,
         horizon=config.horizon,
         acquisition=acquisition,
+        num_features=config["acquisition.num_features"],
         schedule=schedule,
         noise_variance=config.noise_variance,
         initial_design=config["initial.count"],

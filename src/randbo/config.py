@@ -1,7 +1,7 @@
 """Experiment configuration: a flat text format of dotted keys.
 
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
-lines ignored. Values are integers, reals, booleans (true/false), bare
+lines ignored. Values are integers, finite reals, booleans (true/false), bare
 strings, or comma-separated lists of reals, of integers or of names, each
 entry checked like a scalar of its kind and kept as written. A list has at
 least one entry, and a list of names no entry twice. Unknown keys
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import difflib
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import bench, confidence, gp
@@ -75,7 +76,9 @@ def _render_scalar(value) -> str:
 # Each scalar kind: the test a value must pass, and its name in messages.
 _SCALAR = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "integer"),
-    "real": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "real number"),
+    # A float's range: no nan or infinity, and no integer too large to convert.
+    "real": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+             and abs(v) <= sys.float_info.max, "finite real number"),
     "bool": (lambda v: isinstance(v, bool), "true/false"),
     "str": (lambda v: isinstance(v, str), "name"),
 }
@@ -148,7 +151,7 @@ SCHEMA: dict[str, _Key] = {
         _Key("n_jobs", "int", default=1, minimum=1),
         _Key("output", "str", default=None),
         _Key("overwrite", "bool", default=False),
-        _Key("noise_variance", "real", default=None),
+        _Key("noise_variance", "real", default=None, exclusive_min=0.0),
         _Key("noise_stddev", "real", default=None, minimum=0.0),
         _Key("kernel.family", "str", default="squared_exponential",
              choices=gp.KERNEL_FAMILIES),
@@ -279,8 +282,6 @@ def parse_text(text: str, source: str = "<config>") -> ExperimentConfig:
         values["noise_variance"] = 1.0 if kind == "counterexample" else 1e-4
     if values.get("noise_stddev") is None:
         values["noise_stddev"] = math.sqrt(values["noise_variance"])
-    if values.get("noise_variance") <= 0:
-        errors.append("noise_variance: must be positive")
 
     if "kind" not in values:
         errors.append("kind: required key is missing")

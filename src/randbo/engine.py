@@ -5,14 +5,15 @@ candidate points with the true value at each (the synthetic grids and the
 tabular emulators). A ``ContinuousInstance`` is an objective on the unit
 cube, with fresh uniform candidates drawn each iteration (the benchmarks).
 
-One replication iterates: (re)fit hyperparameters, produce the iteration's
-confidence parameter, select a candidate by the configured acquisition
-rule, observe a noisy value, update the posterior, and record regret. A
-complete per-iteration trace comes back for analysis. ``run_bo`` holds the
-loop and the acquisition dispatch; a posterior model, picked once by the
-instance's kind, holds everything else, the replication's one
-``gp.GpState`` included: ``run_bo`` passes the model a candidate index and
-reads the posterior through ``model.state``.
+One replication draws its noise and confidence parameters up front, fits
+its first state to the initial design, then iterates: refit when one is
+due, select a candidate by the configured acquisition rule, observe a noisy
+value, update the posterior, and record regret. A complete per-iteration
+trace comes back for analysis. ``run_bo`` holds the setup, the loop and the
+acquisition dispatch; a posterior model, picked once by the instance's
+kind, holds everything else, the replication's one ``gp.GpState``
+included: ``run_bo`` passes the model a candidate index and reads the
+posterior through ``model.state``.
 
 The grid model of a finite instance maintains the posterior moments over all
 candidates incrementally alongside the state's Cholesky factor, which
@@ -29,7 +30,7 @@ cache: on a grid whose prior factor L is cached (L L^T = K), the features
 of the prior path are L itself, so each path is an exact posterior draw,
 a prior draw L z corrected through the cached V and the state's Cholesky
 factor. A grid above the cache's size takes a random-Fourier-feature prior
-path instead, with ``AcquisitionSpec.num_features`` features. The features
+path instead, with ``RunConfig.num_features`` features. The features
 stay fixed from one refit to the next, so the prior paths of a block of
 iterations (up to the next refit, the horizon, or ``PATH_BLOCK``
 iterations) are drawn at the block's start as one matrix product, from
@@ -43,17 +44,17 @@ written over the cross-covariance's own memory), not as a triangular solve
 with one right-hand side per candidate: that solve's shape, a hundred rows
 by thousands of columns, runs several times slower in BLAS than a product,
 and the triangular product costs half a dense one. The model holds L^-1
-itself: ``gp.inverse_factor`` (LAPACK ``dtrtri``) once per refit, then one
+itself: ``gp.inverse_factor`` (LAPACK ``dtrtri``) once per fit, then one
 row per observation at O(n^2). The observation's Cholesky row is the chosen
 candidate's column of V, so an update evaluates no kernel and solves
 nothing. V agrees with the solve to rounding and serves every acquisition:
 the moments, and for TS and PIMS the path, whose random features, at the
 candidates and the observed inputs, change every iteration; it draws a
 block of one path. Grids keep the triangular solve (``gp.cross_solve``),
-which runs once per refit there, so their outputs are unchanged to the
+which runs once per fit there, so their outputs are unchanged to the
 byte.
 
-A refit builds one state, the winner's (``gp.fit_state``), with rows for
+Each fit builds one state, the winner's (``gp.fit_state``), with rows for
 the observations still to come, so none of them copies it.
 
 ``run_replications`` draws each replication's instance first; on a fixed
@@ -74,7 +75,6 @@ from scipy.linalg.blas import dtrmm
 
 from . import gp
 from .acquisition import (
-    RffModel,
     build_rff,
     draw_prior_paths,
     expected_improvement,
@@ -101,27 +101,6 @@ ACQUISITION_KINDS = ("ucb", "ei", "ts", "pims")
 # Most iterations whose prior paths are drawn as one block on a finite
 # instance, so the block's paths take O(m * PATH_BLOCK) memory.
 PATH_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class AcquisitionSpec:
-    """Which selection rule to run, plus its feature budget where relevant.
-
-    ``num_features`` sizes the random-feature prior path of TS and PIMS on
-    a continuous instance or on a grid too large for the prior cache; a
-    cached grid's path uses its exact prior factor instead.
-    """
-
-    kind: str = "ucb"
-    num_features: int = 2000
-
-    def __post_init__(self):
-        if self.kind not in ACQUISITION_KINDS:
-            raise ConfigurationError(
-                f"unknown acquisition {self.kind!r}; expected one of {ACQUISITION_KINDS}"
-            )
-        if self.num_features < 1:
-            raise ConfigurationError("num_features must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -227,11 +206,17 @@ class BoTrace:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one replication needs besides the instance and the seed."""
+    """Everything one replication needs besides the instance and the seed.
+
+    ``acquisition`` is one of ``ACQUISITION_KINDS``; only UCB takes a
+    ``schedule``. ``num_features`` sizes the random-feature prior path of
+    TS and PIMS where there is no cached prior factor (see ``_GridModel``).
+    """
 
     kernel: gp.Kernel
     horizon: int
-    acquisition: AcquisitionSpec = AcquisitionSpec()
+    acquisition: str = "ucb"
+    num_features: int = 2000
     schedule: Schedule | None = None
     noise_variance: float = 1e-4
     initial_design: int | Sequence | None = None
@@ -241,10 +226,17 @@ class RunConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
+        if self.acquisition not in ACQUISITION_KINDS:
+            raise ConfigurationError(f"unknown acquisition {self.acquisition!r}; "
+                                     f"expected one of {ACQUISITION_KINDS}")
+        if self.num_features < 1:
+            raise ConfigurationError("num_features must be >= 1")
         if not self.noise_variance > 0:
             raise ConfigurationError("model noise_variance must be positive")
-        if self.acquisition.kind == "ucb" and self.schedule is None:
+        if self.acquisition == "ucb" and self.schedule is None:
             raise ConfigurationError("UCB acquisition needs a confidence schedule")
+        if self.acquisition != "ucb" and self.schedule is not None:
+            raise ConfigurationError(f"{self.acquisition} acquisition takes no confidence schedule")
         if self.schedule is not None:
             # Fails for a schedule that ends before the horizon (a short Replay).
             self.schedule.shift(self.horizon)
@@ -269,10 +261,11 @@ class _Model:
     """The posterior of one replication at the points it selects among.
 
     The model owns the replication's ``gp.GpState``: ``initial_design``
-    comes first, then ``refit(state)`` hands it the state at the start and
-    after every refit. Each iteration calls ``moments``, ``path`` (TS,
-    PIMS), ``true_value`` and ``observe`` with a candidate index; ``observe``
-    grows ``self.state`` in place and the arrays derived from it.
+    comes first, then ``refit(state)`` hands it each state ``gp.fit_state``
+    builds, the first one on the initial design and one per refit. Each
+    iteration calls ``moments``, ``path`` (TS, PIMS), ``true_value`` and
+    ``observe`` with a candidate index; ``observe`` grows ``self.state`` in
+    place and the arrays derived from it.
     """
 
     state: gp.GpState
@@ -283,7 +276,7 @@ class _Model:
         self.config = config
         self.feat_rng = feat_rng
         self.path_rng = path_rng
-        self.sampled = config.acquisition.kind in ("ts", "pims")
+        self.sampled = config.acquisition in ("ts", "pims")
 
 
 class _GridModel(_Model):
@@ -322,7 +315,7 @@ class _GridModel(_Model):
             # otherwise the grid's random features are computed once per
             # feature draw.
             self.features = prior.factor if prior is not None else rff_features(
-                build_rff(state.kernel, self.config.acquisition.num_features, self.feat_rng),
+                build_rff(state.kernel, self.config.num_features, self.feat_rng),
                 pts)
             self.block_last = 0
         self.gram = None if prior is None else prior.gram
@@ -372,7 +365,7 @@ class _FreshModel(_Model):
     """A continuous instance's posterior at each iteration's fresh candidates.
 
     The model holds L^-1 for its state's factor: one ``gp.inverse_factor``
-    per refit, then one row per observation.
+    per fit, then one row per observation.
     """
 
     def initial_design(self, design, rng: np.random.Generator):
@@ -395,8 +388,7 @@ class _FreshModel(_Model):
         n = state.n_obs
         self.inv[:n, :n] = gp.inverse_factor(state)
         if self.sampled:
-            self.rff = build_rff(state.kernel, self.config.acquisition.num_features,
-                                 self.feat_rng)
+            self.rff = build_rff(state.kernel, self.config.num_features, self.feat_rng)
 
     def moments(self, cand_rng: np.random.Generator):
         state = self.state
@@ -443,12 +435,20 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
     so identical (instance, config, seed, rep) reproduce the trace bit for
     bit and concurrent replications never interact.
 
+    The draws independent of the data come before the loop: the noise of
+    every observation as one array and, for UCB, all T confidence
+    parameters, which the paper's conditional-regret analysis fixes before
+    a run. The first state is one ``gp.fit_state`` on the initial design,
+    over the refit grid if refits are configured and the design is
+    non-empty, else under ``config.kernel``; refits follow at t = 1 + k p.
+
     Returns
     -------
     BoTrace
     """
     T = config.horizon
-    kind = config.acquisition.kind
+    kind = config.acquisition
+    period = config.refit_period
 
     noise_rng = substream(seed, rep, NOISE)
     conf_rng = substream(seed, rep, CONFIDENCE)
@@ -462,16 +462,18 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
     init_idx, init_x, init_f = model.initial_design(config.initial_design, init_rng)
     n_init = init_x.shape[0]
 
-    init_y = np.empty(n_init)
-    state = gp.empty_state(config.kernel, config.noise_variance, capacity=T + n_init + 1)
-    for i in range(n_init):
-        init_y[i] = init_f[i] + noise_rng.standard_normal() * instance.noise_stddev
-        gp.incremental_update(state, init_x[i], init_y[i])
-    model.refit(state)
+    noise = noise_rng.standard_normal(n_init + T) * instance.noise_stddev
+    init_y = init_f + noise[:n_init]
+    zeta_val = np.full(T, np.nan)
+    if kind == "ucb":
+        zeta_val[:] = [next_confidence(config.schedule, t, conf_rng) for t in range(1, T + 1)]
+
+    capacity = T + n_init + 1
+    kernels = list(config.refit_grid) if period is not None and n_init else [config.kernel]
+    model.refit(gp.fit_state(init_x, init_y, kernels, config.noise_variance, capacity))
 
     sel_idx = np.empty(T, dtype=int)
     sel_x = np.empty((T, instance.dim))
-    zeta_val = np.full(T, np.nan)
     obs_y = np.empty(T)
     mu_sel = np.empty(T)
     sd_sel = np.empty(T)
@@ -479,20 +481,14 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
 
     try:
         for t in range(1, T + 1):
-            if (
-                config.refit_period is not None
-                and (t - 1) % config.refit_period == 0
-                and model.state.n_obs > 0
-            ):
+            if period is not None and t > 1 and (t - 1) % period == 0:
                 model.refit(gp.fit_state(model.state.inputs, model.state.outputs,
                                          list(config.refit_grid), config.noise_variance,
-                                         capacity=T + n_init + 1))
+                                         capacity))
 
             pts, mean, var = model.moments(cand_rng)
             if kind == "ucb":
-                beta = next_confidence(config.schedule, t, conf_rng)
-                zeta_val[t - 1] = beta
-                idx = int(np.argmax(ucb_scores(mean, var, beta)))
+                idx = int(np.argmax(ucb_scores(mean, var, zeta_val[t - 1])))
             elif kind == "ei":
                 outputs = model.state.outputs
                 incumbent = float(np.max(outputs)) if outputs.size else 0.0
@@ -505,7 +501,7 @@ def run_bo(instance: ProblemInstance, config: RunConfig, seed: int,
                     idx = int(np.argmax(pims_scores(mean, var, float(np.max(path)))))
 
             f_t = model.true_value(idx)
-            y_t = f_t + noise_rng.standard_normal() * instance.noise_stddev
+            y_t = f_t + noise[n_init + t - 1]
 
             # Record the pre-update posterior now: a grid model updates its
             # moment arrays in place when the observation is appended.

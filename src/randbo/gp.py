@@ -614,7 +614,7 @@ def log_marginal_likelihood(state: GpState) -> float:
     return _log_evidence(state.chol, state.half_targets)
 
 
-def fit_state(inputs, outputs, grid: list[KernelSpec], noise_variance: float,
+def fit_state(inputs, outputs, grid: list[Kernel], noise_variance: float,
               capacity: int = 0) -> GpState:
     """The state on the data under the grid element maximizing the log
     marginal likelihood; its ``kernel`` is the pick.

@@ -60,7 +60,7 @@ def test_roster_calls_run_replications_per_algorithm_in_order(problem, tmp_path,
     real, calls = cli.run_replications, []
 
     def recording(sampler, run_cfg, *args, **kwargs):
-        calls.append((run_cfg.acquisition.kind, type(run_cfg.schedule)))
+        calls.append((run_cfg.acquisition, type(run_cfg.schedule)))
         return real(sampler, run_cfg, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run_replications", recording)

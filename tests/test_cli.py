@@ -114,8 +114,10 @@ class TestParseConfig:
         ("counterexample.horizons = 10.7, 20", "10.7"),
         ("bounds.horizons = 100, 200.5", "200.5"),
         ("algorithms = ei, 3", "3"),
+        ("kernel.lengthscale = 0.1, nan", "nan"),
+        ("bounds.deltas = 0.1, -inf", "-inf"),
     ], ids=["reals", "reals_second_entry", "ints_name", "ints_fraction", "ints_fraction_bounds",
-            "names"])
+            "names", "reals_nan", "reals_inf"])
     def test_list_entries_checked(self, line, entry):
         key = line.split(" = ")[0]
         with pytest.raises(ConfigurationError) as err:
@@ -214,13 +216,13 @@ class TestBuildAlgorithm:
         from randbo import confidence as cf
 
         acq, sched = cli.build_algorithm("gp_ucb", self.CFG, 9, 2)
-        assert acq.kind == "ucb" and isinstance(sched, cf.DeterministicUcb)
+        assert acq == "ucb" and isinstance(sched, cf.DeterministicUcb)
         _, sched = cli.build_algorithm("irgp_ucb", self.CFG, 9, 2)
         assert isinstance(sched, cf.ShiftedExpFinite) and sched.domain_size == 9
         _, sched = cli.build_algorithm("irgp_ucb_heuristic", self.CFG, 9, 2)
         assert isinstance(sched, cf.HeuristicShiftedExp) and sched.d == 2
         acq, sched = cli.build_algorithm("ts", self.CFG, 9, 2)
-        assert acq.kind == "ts" and sched is None
+        assert acq == "ts" and sched is None
 
     def test_schedule_free_algorithms_are_the_acquisition_kinds(self):
         for name, make in ALGORITHMS.items():
@@ -512,6 +514,18 @@ class TestMainEntry:
         cfg_file = tmp_path / "bad.txt"
         cfg_file.write_text("kind = wat\n", encoding="utf-8")
         assert cli.main(["run", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize("line, key", [
+        ("noise_variance = -1", "noise_variance: -1 must be above 0.0"),
+        ("noise_stddev = nan", "noise_stddev: expected finite real number, got nan"),
+    ], ids=["negative_noise_variance", "nan_noise_stddev"])
+    def test_unusable_noise_is_a_config_error(self, tmp_path, capsys, line, key):
+        cfg_file = tmp_path / "exp.txt"
+        cfg_file.write_text(MINIMAL_SYNTHETIC + line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "none.txt")]) == 2

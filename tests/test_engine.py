@@ -1,5 +1,6 @@
 """Tests for the sequential optimization driver and replication runner."""
 
+import dataclasses
 import math
 import warnings
 
@@ -19,7 +20,6 @@ from randbo.acquisition import (
 from randbo.analysis import CounterexampleSampler
 from randbo.confidence import Constant, Replay, ShiftedExpFinite, next_confidence
 from randbo.engine import (
-    AcquisitionSpec,
     ContinuousInstance,
     FiniteInstance,
     FixedInstanceSampler,
@@ -230,7 +230,7 @@ class TestRunBo:
         inst = random_instance(4, m=12)
         for kind in ("ei", "ts", "pims"):
             cfg = RunConfig(kernel=se(2), horizon=8, noise_variance=1e-3,
-                            acquisition=AcquisitionSpec(kind, num_features=128),
+                            acquisition=kind, num_features=128,
                             initial_design=2)
             trace = run_bo(inst, cfg, 6)
             assert np.all((0 <= trace.selected_index) & (trace.selected_index < 12))
@@ -282,6 +282,30 @@ class TestRunBo:
             assert used == {0.1, 1.0}
             assert (gp._PRIOR_CACHE.held_bytes > 0) == cached
 
+    @pytest.mark.parametrize("case", ["continuous", "grid"])
+    def test_factors_once_per_fit(self, case, monkeypatch):
+        # One factorization per fit, never per observation: dtrtri on the
+        # fresh-candidate model, the triangular solve on the grid model.
+        # With a 3-point design and refits at t = 6 and 11 of 12, the fits
+        # are the design's and each refit's; without refits, the design's.
+        if case == "continuous":
+            inst, name = ContinuousInstance(_objective, 2, 50, 0.0, 0.0), "inverse_factor"
+        else:
+            inst, name = random_instance(8, m=50), "cross_solve"
+        factored = []
+        factor = getattr(gp, name)
+        monkeypatch.setattr(gp, name, lambda state, *args: factored.append(state.n_obs)
+                            or factor(state, *args))
+        cfg = RunConfig(kernel=se(2), horizon=12, schedule=Constant(1.0),
+                        noise_variance=1e-3, initial_design=3, refit_period=5,
+                        refit_grid=(se(2, ell=0.2), se(2, ell=0.5)))
+        for config, fits in ((cfg, [3, 8, 13]),
+                             (dataclasses.replace(cfg, refit_period=None), [3])):
+            for rep in range(2):
+                factored.clear()
+                run_bo(inst, config, 4, rep=rep)
+                assert factored == fits
+
     def test_refit_requires_grid(self):
         with pytest.raises(ConfigurationError):
             RunConfig(kernel=se(1), horizon=2, schedule=Constant(1.0),
@@ -290,6 +314,15 @@ class TestRunBo:
     def test_ucb_without_schedule_rejected(self):
         with pytest.raises(ConfigurationError):
             RunConfig(kernel=se(1), horizon=2)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(acquisition="ts", schedule=Constant(1.0)), "takes no confidence schedule"),
+        (dict(acquisition="thompson"), "unknown acquisition 'thompson'"),
+        (dict(acquisition="ts", num_features=0), "num_features must be >= 1"),
+    ], ids=["schedule_without_ucb", "unknown_kind", "no_features"])
+    def test_acquisition_checked(self, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            RunConfig(kernel=se(1), horizon=2, **fields)
 
 
 class TestObjectiveMode:
@@ -361,8 +394,9 @@ class TestFreshModelMoments:
 
 class TestFreshModelInverse:
     """The fresh-candidate model holds L^-1: ``gp.inverse_factor`` at a
-    refit, then one appended row per observation. It must track a fresh
-    inversion of the factor, and invert only at refits."""
+    fit, then one appended row per observation. It must track a fresh
+    inversion of the factor (``TestRunBo.test_factors_once_per_fit``
+    checks that it inverts only at fits)."""
 
     @staticmethod
     def grow(dim, ell, noise_variance, horizon, seed):
@@ -399,22 +433,6 @@ class TestFreshModelInverse:
         assert np.max(np.abs(mean - ref_mean)) <= 1e-10 * (1.0 + np.max(np.abs(state.outputs)))
         assert np.max(np.abs(var - ref_var)) <= 1e-12
 
-    def test_inverts_at_the_start_and_at_each_refit_only(self, monkeypatch):
-        # Refits at t = 1, 6, 11 of 12 after a 3-point design: dtrtri runs
-        # on the design's state and on each refit's, never per observation.
-        inverted = []
-        inverse = gp.inverse_factor
-        monkeypatch.setattr(gp, "inverse_factor",
-                            lambda state: inverted.append(state.n_obs) or inverse(state))
-        inst = ContinuousInstance(_objective, 2, 50, 0.0, 0.0)
-        cfg = RunConfig(kernel=se(2), horizon=12, schedule=Constant(1.0),
-                        noise_variance=1e-3, initial_design=3, refit_period=5,
-                        refit_grid=(se(2, ell=0.2), se(2, ell=0.5)))
-        for rep in range(2):
-            inverted.clear()
-            run_bo(inst, cfg, 4, rep=rep)
-            assert inverted == [3, 3, 8, 13]
-
 
 class TestFreshModelReplay:
     """UCB and EI on a continuous instance with refits, replayed from
@@ -432,7 +450,7 @@ class TestFreshModelReplay:
         inst = ContinuousInstance(self._wavy, 2, 200, 1.0, 0.05)
         grid = (se(2, ell=0.1), se(2, ell=0.3), se(2, ell=1.0))
         cfg = RunConfig(kernel=se(2, ell=0.3), horizon=24, noise_variance=1e-3,
-                        initial_design=3, acquisition=AcquisitionSpec(kind),
+                        initial_design=3, acquisition=kind,
                         schedule=ShiftedExpFinite(200) if kind == "ucb" else None,
                         refit_period=4, refit_grid=grid)
         for seed in (0, 1):
@@ -480,7 +498,7 @@ class TestExplicitGridObservations:
         inst = FiniteInstance([[0.0], [1.0], [2.0]], [0.0, 0.4, -0.3], 0.1)
         cfg = RunConfig(kernel=kernel, horizon=20, noise_variance=1e-2, initial_design=2,
                         schedule=Constant(2.0) if kind == "ucb" else None,
-                        acquisition=AcquisitionSpec(kind))
+                        acquisition=kind)
         for seed in (1, 2, 3):
             trace = run_bo(inst, cfg, seed)
             X, y = list(trace.initial_x), list(trace.initial_y)
@@ -511,7 +529,7 @@ class TestSamplePathRoute:
 
     @staticmethod
     def replay(instance, cfg, trace, seed, exact):
-        kind = cfg.acquisition.kind
+        kind = cfg.acquisition
         feat_rng = substream(seed, 0, FEATURES)
         path_rng = substream(seed, 0, PATHS)
         cand_rng = substream(seed, 0, CANDIDATES)
@@ -520,16 +538,19 @@ class TestSamplePathRoute:
             if exact:
                 K = gp.kernel_matrix(kernel, instance.points)
                 return gp.cholesky(K, float(np.max(np.diagonal(K))), "prior Gram")
-            return build_rff(kernel, cfg.acquisition.num_features, feat_rng)
+            return build_rff(kernel, cfg.num_features, feat_rng)
 
-        features = prior(cfg.kernel)
-        state = gp.empty_state(cfg.kernel, cfg.noise_variance)
-        for x, y in zip(trace.initial_x, trace.initial_y):
-            state = gp.incremental_update(state, x, y)
+        # The first state is fitted on the initial design, over the refit
+        # grid when refits are configured, and each fit draws its prior.
+        refits = cfg.refit_period is not None
+        state = gp.fit_state(trace.initial_x, trace.initial_y,
+                             list(cfg.refit_grid) if refits else [cfg.kernel],
+                             cfg.noise_variance)
+        features = prior(state.kernel)
         rows = [] if trace.initial_indices is None else list(trace.initial_indices)
         picks = []
         for t, (x, y) in enumerate(zip(trace.selected_x, trace.observed_y)):
-            if cfg.refit_period is not None and t % cfg.refit_period == 0:
+            if refits and t and t % cfg.refit_period == 0:
                 state = gp.fit_state(state.inputs, state.outputs, list(cfg.refit_grid),
                                      cfg.noise_variance)
                 features = prior(state.kernel)
@@ -554,9 +575,10 @@ class TestSamplePathRoute:
 
     @pytest.mark.usefixtures("fresh_prior_cache")
     @pytest.mark.parametrize("kind", ["ts", "pims"])
-    @pytest.mark.parametrize("case", ["grid_design", "refit", "per_iteration", "above_cap"])
+    @pytest.mark.parametrize("case", ["grid_design", "refit", "per_iteration",
+                                      "per_iteration_refit", "above_cap"])
     def test_engine_matches_standalone_sampler(self, kind, case, monkeypatch):
-        if case == "per_iteration":
+        if case.startswith("per_iteration"):
             # A continuous instance: the initial design and every
             # iteration's candidates are fresh uniform points.
             inst = ContinuousInstance(_objective, 2, 30, 0.0, 0.05)
@@ -566,10 +588,10 @@ class TestSamplePathRoute:
             # The 30-point Gram and factor no longer fit: random features.
             monkeypatch.setattr(gp, "PRIOR_CACHE_BYTES", 30 * 30 * 8)
         refit = {}
-        if case == "refit":
+        if case.endswith("refit"):
             refit = dict(refit_period=5, refit_grid=(se(2, ell=0.2), se(2, ell=0.4)))
         cfg = RunConfig(kernel=se(2), horizon=15, noise_variance=1e-3, initial_design=3,
-                        acquisition=AcquisitionSpec(kind, num_features=128), **refit)
+                        acquisition=kind, num_features=128, **refit)
         for seed in (3, 4):
             trace = run_bo(inst, cfg, seed)
             exact = case in ("grid_design", "refit")
@@ -591,7 +613,7 @@ class TestSamplePathRoute:
         extra = dict(refit_period=4, refit_grid=(se(2, ell=0.2), se(2, ell=0.4))) if refit else {}
         cfg = RunConfig(kernel=se(2), horizon=12, noise_variance=1e-3, initial_design=2,
                         schedule=ShiftedExpFinite(25) if kind == "ucb" else None,
-                        acquisition=AcquisitionSpec(kind), **extra)
+                        acquisition=kind, **extra)
         if kind in ("ts", "pims"):
             inst = random_instance(6, m=25)
         else:
@@ -605,7 +627,7 @@ class TestSamplePathRoute:
         # Cold, warm, and cold again after clearing: the same trace bytes.
         inst = random_instance(7, m=25)
         cfg = RunConfig(kernel=se(2), horizon=10, noise_variance=1e-3, initial_design=2,
-                        acquisition=AcquisitionSpec(kind), refit_period=5,
+                        acquisition=kind, refit_period=5,
                         refit_grid=(se(2, ell=0.2), se(2, ell=0.4)))
         cold = run_bo(inst, cfg, 2)
         warm = run_bo(inst, cfg, 2)
@@ -673,7 +695,7 @@ class TestBlockPathDraws:
             monkeypatch.setattr(engine, "PATH_BLOCK", 4)
             design, sizes = 0, [4, 4, 2]
         cfg = RunConfig(kernel=se(2), horizon=10, noise_variance=1e-3, initial_design=design,
-                        acquisition=AcquisitionSpec(kind, num_features=128), **extra)
+                        acquisition=kind, num_features=128, **extra)
         if case == "above_cap":
             # The 30-point Gram and factor no longer fit: random features.
             monkeypatch.setattr(gp, "PRIOR_CACHE_BYTES", 30 * 30 * 8)
@@ -696,7 +718,7 @@ class TestBlockPathDraws:
     def test_continuous_instance_draws_one_path_per_block(self, kind, monkeypatch):
         inst = ContinuousInstance(_objective, 2, 30, 0.0, 0.05)
         cfg = RunConfig(kernel=se(2), horizon=6, noise_variance=1e-3, initial_design=2,
-                        acquisition=AcquisitionSpec(kind, num_features=64))
+                        acquisition=kind, num_features=64)
         pairs, block_sizes, _ = self.run(inst, cfg, 4, monkeypatch,
                                          lambda kernel, features: features)
         for prior, expected in pairs:
@@ -721,15 +743,15 @@ class TestPinnedSelections:
         "pims": [20, 19, 7, 20, 6, 14, 20, 26, 26, 4, 26, 26],
     }
     CONTINUOUS = {
-        "ts": [0, 19, 16, 12, 12, 21, 11, 10, 10, 5],
-        "pims": [26, 1, 1, 24, 13, 18, 24, 18, 6, 7],
+        "ts": [6, 8, 18, 13, 0, 18, 9, 17, 12, 20],
+        "pims": [6, 25, 16, 25, 13, 18, 24, 23, 16, 14],
     }
 
     @staticmethod
     def config(kind, horizon):
         return RunConfig(kernel=se(2), horizon=horizon, noise_variance=1e-3, initial_design=2,
                          schedule=ShiftedExpFinite(30) if kind == "ucb" else None,
-                         acquisition=AcquisitionSpec(kind, num_features=64),
+                         acquisition=kind, num_features=64,
                          refit_period=4, refit_grid=(se(2, ell=0.3), se(2, ell=0.6)))
 
     @pytest.mark.parametrize("kind", sorted(GRID))
@@ -790,7 +812,7 @@ class TestRunReplications:
         sampler = FixedInstanceSampler(random_instance(2))
         configs = [ucb_config(6, 20)] + [
             RunConfig(kernel=se(2), horizon=6, noise_variance=1e-3, initial_design=2,
-                      acquisition=AcquisitionSpec(kind, num_features=64))
+                      acquisition=kind, num_features=64)
             for kind in ("ts", "pims")
         ]
         for cfg in configs:
@@ -806,7 +828,7 @@ class TestRunReplications:
         inst = FiniteInstance([[0.0], [10.0]], [0.0, 0.0], 0.1)
         sampler = FixedInstanceSampler(inst)
         cfg = RunConfig(kernel=se(1, ell=0.5), horizon=1, noise_variance=1e-3,
-                        acquisition=AcquisitionSpec("ts", num_features=128))
+                        acquisition="ts", num_features=128)
         traces = run_replications(sampler, cfg, 100, 13)
         firsts = np.array([t.selected_index[0] for t in traces])
         assert abs(firsts.mean() - 0.5) <= 0.15
@@ -817,7 +839,7 @@ class TestRunReplications:
         # features cannot draw its prior; the grid's cached factor can.
         inst = FiniteInstance([[0.0], [1.0]], [0.0, 0.5], 0.1)
         cfg = RunConfig(kernel=gp.ExplicitKernel(np.eye(2)), horizon=5, noise_variance=1e-2,
-                        acquisition=AcquisitionSpec(kind))
+                        acquisition=kind)
         traces = run_replications(FixedInstanceSampler(inst), cfg, 100, 13)
         assert len(traces) == 100
         firsts = np.array([t.selected_index[0] for t in traces])
