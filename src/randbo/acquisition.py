@@ -8,8 +8,11 @@ cached grid factor as the features makes the prior path, and with it the
 posterior path, exact; elsewhere random Fourier features approximate the
 prior path. Prior paths sharing their features are drawn as one block
 (``draw_prior_paths``), one matrix product, with the random numbers in the
-order one path at a time would draw them. Ties always break toward the
-lowest candidate index so selections are reproducible.
+order one path at a time would draw them; a lower-triangular factor as
+the features is multiplied in row blocks that skip its zero upper
+triangle (``lower_product``). The data update's triangular solve is one
+LAPACK call (``gp.solve_lower``). Ties always break toward the lowest
+candidate index so selections are reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
 from . import gp
@@ -108,13 +110,19 @@ def rff_features(rff: RffModel, X) -> np.ndarray:
 
 
 def draw_prior_paths(features: np.ndarray, n_obs: Sequence[int], noise_variance: float,
-                     seed) -> tuple[np.ndarray, list[np.ndarray]]:
+                     seed, row_block: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Prior paths and noise draws of a block of paths sharing ``features``.
 
     Path j draws z_j ~ N(0, I_M) and then eps_j ~ N(0, noise_variance I_n)
     with n = ``n_obs[j]``, in the order of j, so a block yields the numbers
     of its paths drawn one at a time. The prior paths phi z_j are the rows
     of one matrix product; a block of one is a mat-vec.
+
+    A ``row_block`` declares ``features`` lower triangular, as a grid's
+    prior factor is: the product is then taken over row blocks of that
+    many rows (``lower_product``), which skips the zero upper triangle
+    outside the diagonal blocks. It agrees with the dense product to
+    rounding.
 
     Returns
     -------
@@ -128,9 +136,28 @@ def draw_prior_paths(features: np.ndarray, n_obs: Sequence[int], noise_variance:
     for j, n in enumerate(n_obs):
         Z[j] = rng.standard_normal(features.shape[1])
         eps.append(rng.standard_normal(n) * sd)
+    if row_block is not None and features.shape[0] > row_block:
+        return lower_product(Z, features, row_block), eps
     if len(Z) == 1:
         return (features @ Z[0])[None, :], eps
     return Z @ features.T, eps
+
+
+def lower_product(Z: np.ndarray, L: np.ndarray, rows: int) -> np.ndarray:
+    """Z @ L.T for a lower-triangular L, block by block over ``rows`` rows of L.
+
+    Columns [r0, r1) of the result are Z[:, :r1] @ L[r0:r1, :r1].T: no
+    block reads L right of its own diagonal block, so the blocks together
+    read about half of L, and each is one BLAS product of strided views,
+    with no copy. ``engine.FACTOR_ROWS`` records the width the engine
+    uses and the timings it was chosen by.
+    """
+    m = L.shape[0]
+    out = np.empty((Z.shape[0], m))
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        np.matmul(Z[:, :r1], L[r0:r1, :r1].T, out=out[:, r0:r1])
+    return out
 
 
 def sample_posterior_path(state: gp.GpState, prior: np.ndarray, obs_rows: np.ndarray,
@@ -169,8 +196,7 @@ def sample_posterior_path(state: gp.GpState, prior: np.ndarray, obs_rows: np.nda
     if state.n_obs == 0:
         return prior[:m]
     resid = state.outputs - prior[obs_rows] - eps
-    return prior[:m] + V.T @ solve_triangular(state.chol, resid, lower=True,
-                                              check_finite=False)
+    return prior[:m] + V.T @ gp.solve_lower(state.chol, resid)
 
 
 def pims_scores(mean: np.ndarray, var: np.ndarray, f_star: float) -> np.ndarray:

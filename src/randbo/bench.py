@@ -90,7 +90,10 @@ def make_synthetic_instance(kernel: gp.Kernel, grid: GridSpec, noise_stddev: flo
 class SyntheticInstanceSampler:
     """Draws a fresh prior-sample objective on the same grid per replication.
 
-    Every replication shares the grid's cached prior factor.
+    Every replication shares the grid's cached prior factor. Each call
+    draws; a roster of algorithms wraps the sampler in
+    ``engine.SharedInstanceSampler`` so that each replication's instance
+    is drawn once and shared by the algorithms.
     """
 
     kernel: gp.Kernel

@@ -42,6 +42,7 @@ from .engine import (
     ContinuousInstance,
     FixedInstanceSampler,
     RunConfig,
+    SharedInstanceSampler,
     run_replications,
 )
 from .errors import ConfigurationError, NumericalError, RandboError
@@ -206,10 +207,13 @@ def _domain(config: ExperimentConfig):
 def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     """Every configured algorithm on one instance family.
 
-    The synthetic kind redraws its objective on the grid per replication;
-    the benchmark and tabular kinds rerun one fixed instance. The
-    finite-domain bound reports need |X| fixed candidates, so a continuous
-    instance, whose candidates are redrawn each iteration, gets none.
+    The synthetic kind redraws its objective on the grid per replication,
+    once for the whole roster: the first algorithm's replication draws it
+    and every algorithm runs on that instance (``SharedInstanceSampler``,
+    dropped with the roster). The benchmark and tabular kinds rerun one
+    fixed instance. The finite-domain bound reports need |X| fixed
+    candidates, so a continuous instance, whose candidates are redrawn
+    each iteration, gets none.
     """
     source, domain_size, dim = _domain(config)
     finite = not isinstance(source, ContinuousInstance)
@@ -217,7 +221,8 @@ def _run_roster(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
         _check_initial_design(config, domain_size)
     kernel = build_kernel(config, dim)
     if config.kind == "synthetic_bcr":
-        sampler = bench.SyntheticInstanceSampler(kernel, source, config.noise_stddev)
+        sampler = SharedInstanceSampler(
+            bench.SyntheticInstanceSampler(kernel, source, config.noise_stddev))
     else:
         sampler = FixedInstanceSampler(source)
     run_cfgs = [(name, _run_config_for(config, name, domain_size, dim, kernel))

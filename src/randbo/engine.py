@@ -35,7 +35,9 @@ stay fixed from one refit to the next, so the prior paths of a block of
 iterations (up to the next refit, the horizon, or ``PATH_BLOCK``
 iterations) are drawn at the block's start as one matrix product, from
 the ``PATHS`` substream in the order one iteration at a time would draw
-them.
+them. With L as the features that product runs over blocks of
+``FACTOR_ROWS`` rows of L and skips L's zero upper triangle, at half the
+dense product's cost; random features keep the dense product.
 
 The fresh-candidate model of a continuous instance draws each iteration's
 candidates and forms V = L^-1 K(X, candidates) as one triangular matrix
@@ -59,7 +61,10 @@ the observations still to come, so none of them copies it.
 
 ``run_replications`` draws each replication's instance first; on a fixed
 grid the synthetic sampler's draw is a mat-vec with the grid's cached prior
-factor (see ``bench.SyntheticInstanceSampler``).
+factor (see ``bench.SyntheticInstanceSampler``). A roster of algorithms
+passes every algorithm one ``SharedInstanceSampler``, so each
+replication's instance is drawn once, in the first algorithm's
+replication, and shared read-only by the rest.
 """
 
 from __future__ import annotations
@@ -101,6 +106,19 @@ ACQUISITION_KINDS = ("ucb", "ei", "ts", "pims")
 # Most iterations whose prior paths are drawn as one block on a finite
 # instance, so the block's paths take O(m * PATH_BLOCK) memory.
 PATH_BLOCK = 256
+
+# Rows of the cached prior factor per block of ``acquisition.lower_product``,
+# the product of a path block with the factor that skips its zero upper
+# triangle outside the diagonal blocks; a grid of at most this many points
+# keeps the dense product.
+# Milliseconds for 10 paths (one BLAS thread, 2-vCPU x86-64 guest, OpenBLAS
+# 0.3.30), dense product against blocks of 48 / 64 / 96 / 128 rows:
+#   m = 125:  0.019 against 0.016 / 0.014 / 0.015 / 0.021
+#   m = 1000: 1.00 against 0.46 / 0.46 / 0.45 / 0.73
+#   m = 2048: 5.0 against 1.8-2.5 / 2.6-3.1 / 3.0-3.9 / 3.3
+# and for one path at m = 1000, 0.31 (mat-vec) against 0.23 at 48 rows.
+# Wider blocks lose once a block of the factor outgrows the core's cache.
+FACTOR_ROWS = 48
 
 
 @dataclass(frozen=True)
@@ -179,6 +197,31 @@ class FixedInstanceSampler:
 
     def __call__(self, rep: int, rng: np.random.Generator) -> ProblemInstance:
         return self.instance
+
+
+class SharedInstanceSampler:
+    """Instance sampler that draws each replication's instance once, for a roster.
+
+    The first call for a replication draws from ``sampler``; a later call
+    with the same replication and the same generator state, which in
+    ``_run_one`` means the same (base_seed, rep), returns the same
+    instance, read-only as instances are. A roster that hands one of these
+    to every algorithm draws each instance once, inside the first
+    algorithm's replication. A draw that raises is not kept, so the
+    replication fails in every algorithm with the same message. The
+    instances are held until the sampler is dropped.
+    """
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+        self.drawn: dict = {}
+
+    def __call__(self, rep: int, rng: np.random.Generator) -> ProblemInstance:
+        key = (rep, repr(rng.bit_generator.state))
+        instance = self.drawn.get(key)
+        if instance is None:
+            instance = self.drawn[key] = self.sampler(rep, rng)
+        return instance
 
 
 @dataclass
@@ -317,6 +360,7 @@ class _GridModel(_Model):
             self.features = prior.factor if prior is not None else rff_features(
                 build_rff(state.kernel, self.config.num_features, self.feat_rng),
                 pts)
+            self.row_block = FACTOR_ROWS if prior is not None else None
             self.block_last = 0
         self.gram = None if prior is None else prior.gram
         self.prior = gp.kernel_diag(state.kernel, pts)
@@ -340,7 +384,7 @@ class _GridModel(_Model):
             self.block_first, self.block_last = t, last
             self.paths, self.eps = draw_prior_paths(
                 self.features, range(n, n + last - t + 1), state.noise_variance,
-                self.path_rng)
+                self.path_rng, self.row_block)
         j = t - self.block_first
         return sample_posterior_path(state, self.paths[j], np.array(self.rows, dtype=int),
                                      self.V[:n], self.eps[j])

@@ -21,6 +21,9 @@ the cache together are not cached; their callers compute rows and draws
 directly. ``sample_prior`` stays uncached.
 
 ``cross_solve`` forms V = L^-1 K(inputs, X) by a triangular solve.
+Every triangular solve here, and the data update of a sample path, is
+one LAPACK ``dtrtrs`` call (``solve_lower``), bit for bit SciPy's
+``solve_triangular`` without its argument checks.
 ``inverse_factor`` gives L^-1 itself, by LAPACK ``dtrtri``: for V at
 thousands of fresh points one triangular matrix product with it (BLAS
 ``trmm``, in place in the K(inputs, X) block) runs several times faster
@@ -46,8 +49,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dtrtri, dtrtrs
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, NumericalError, ObservationError
@@ -304,7 +306,7 @@ def _factor(kernel: Kernel, X: np.ndarray, y: np.ndarray,
     scale = float(np.max(np.diagonal(K)))
     K.flat[:: n + 1] += noise_variance
     L = cholesky(K, scale, f"observation Gram of {n} points", start=0.0)
-    return L, solve_triangular(L, y, lower=True, check_finite=False)
+    return L, solve_lower(L, y)
 
 
 def _state(kernel: Kernel, noise_variance: float, X: np.ndarray, y: np.ndarray,
@@ -360,7 +362,7 @@ def incremental_update(state: GpState, x, y: float, l_row=None,
     if n:
         if l_row is None:
             k_vec = kernel_matrix(state.kernel, state.inputs, x[None, :])[:, 0]
-            l_row = solve_triangular(state.chol, k_vec, lower=True, check_finite=False)
+            l_row = solve_lower(state.chol, k_vec)
         elif l_row.shape != (n,):
             raise ConfigurationError("l_row must have one entry per observation")
         wy_dot = float(l_row @ state.half_targets)
@@ -399,8 +401,26 @@ def cross_solve(state: GpState, X) -> np.ndarray:
     X = _as_points(X, state.dim)
     if state.n_obs == 0:
         return np.empty((0, X.shape[0]))
-    return solve_triangular(state.chol, kernel_matrix(state.kernel, state.inputs, X),
-                            lower=True, check_finite=False)
+    return solve_lower(state.chol, kernel_matrix(state.kernel, state.inputs, X))
+
+
+def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for a lower-triangular L, by one LAPACK ``dtrtrs``.
+
+    Bit for bit ``scipy.linalg.solve_triangular(L, b, lower=True)``, whose
+    argument checks cost more than the solve at an observation count of a
+    hundred or less: a C-ordered L (the states' factors and their strided
+    views) is passed transposed, as the upper-triangular system L^T
+    solved transposed, the way that function passes it. A zero pivot
+    raises ``np.linalg.LinAlgError``.
+    """
+    if L.flags.f_contiguous:
+        x, info = dtrtrs(L, b, lower=1)
+    else:
+        x, info = dtrtrs(L.T, b, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 def inverse_factor(state: GpState) -> np.ndarray:
@@ -623,7 +643,7 @@ def fit_state(inputs, outputs, grid: list[Kernel], noise_variance: float,
     and only the pick's state is built: bit for bit its ``batch_state``,
     with rows for at least ``capacity`` observations, so a caller that
     sizes it to the observations still to come appends them without a
-    copy. Ties break
+    copy. A grid of one kernel is not scored. Ties break
     toward the lowest grid index; an empty dataset ties everywhere and
     falls back to the first grid element.
     """
@@ -633,7 +653,7 @@ def fit_state(inputs, outputs, grid: list[Kernel], noise_variance: float,
     best = None
     for spec in grid:
         L, wy = _factor(spec, X, y, noise_variance)
-        score = _log_evidence(L, wy)
+        score = _log_evidence(L, wy) if len(grid) > 1 else 0.0
         if best is None or score > best[0]:
             best = score, spec, L, wy
     _, spec, L, wy = best

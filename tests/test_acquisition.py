@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from randbo import acquisition as acq
-from randbo import gp
+from randbo import engine, gp
 from randbo.errors import ConfigurationError
 from reference_sampler import path_inputs, pims_select, ts_select
 
@@ -180,6 +180,35 @@ def draw_paths(state, rff, pts, count, seed=0):
     """``count`` sample paths at ``pts`` from one generator, one row each."""
     inputs = path_inputs(state, rff, np.asarray(pts, dtype=float))
     return conditioned_paths(state, *inputs, count, seed)
+
+
+class TestLowerProduct:
+    """Prior paths over a lower-triangular factor, in row blocks and dense."""
+
+    ROWS = engine.FACTOR_ROWS
+
+    @pytest.mark.parametrize("paths", [1, 10])
+    @pytest.mark.parametrize("m", sorted({1, 30, 63, 64, 65, 125, 1000,
+                                          ROWS - 1, ROWS, ROWS + 1}))
+    def test_row_blocks_equal_the_dense_product(self, m, paths):
+        rng = np.random.default_rng(m)
+        X = rng.random((m, 3))
+        L = gp.cholesky(gp.kernel_matrix(SE(3, 0.3), X), 1.0, "test Gram")
+        n_obs = range(paths)
+        dense, eps = acq.draw_prior_paths(L, n_obs, 1e-3, 5)
+        blocked, eps_blocked = acq.draw_prior_paths(L, n_obs, 1e-3, 5, row_block=self.ROWS)
+        for a, b in zip(eps, eps_blocked):
+            np.testing.assert_array_equal(a, b)
+        if m <= self.ROWS:
+            # A grid no wider than one block keeps the dense product.
+            np.testing.assert_array_equal(blocked, dense)
+        else:
+            assert np.max(np.abs(blocked - dense)) <= 1e-13 * np.max(np.abs(dense))
+            # Nothing right of a row's own block is read.
+            rows = np.arange(m)
+            L[(rows // self.ROWS + 1)[:, None] * self.ROWS <= rows] = np.nan
+            again, _ = acq.draw_prior_paths(L, n_obs, 1e-3, 5, row_block=self.ROWS)
+            np.testing.assert_array_equal(again, blocked)
 
 
 class TestSamplePosteriorPath:

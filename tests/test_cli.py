@@ -320,6 +320,29 @@ class TestRunExperiment:
         for fname in per_algorithm + ["bounds.json"]:
             assert (out_a / fname).read_bytes() == (out_c / fname).read_bytes(), fname
 
+    def test_roster_draws_each_instance_once(self, tmp_path, monkeypatch):
+        # Three algorithms share each replication's instance; the 64-point
+        # grid is wider than one block of the factor, so TS and PIMS take
+        # their paths through the row-block product.
+        text = MINIMAL_SYNTHETIC.replace("grid.count = 3", "grid.count = 8").replace(
+            "algorithms = irgp_ucb", "algorithms = irgp_ucb, ts, pims")
+        assert 64 > engine.FACTOR_ROWS
+        draws = []
+        real = bench.SyntheticInstanceSampler.__call__
+
+        def counting(self, rep, rng):
+            draws.append(rep)
+            return real(self, rep, rng)
+
+        monkeypatch.setattr(bench.SyntheticInstanceSampler, "__call__", counting)
+        _, out_a, _ = self.run_into(tmp_path, text, "a")
+        assert draws == [0, 1, 2]
+        _, out_b, _ = self.run_into(tmp_path, text + "n_jobs = 2\n", "b")
+        for name in ("irgp_ucb", "ts", "pims"):
+            for kind in ("traces", "summary"):
+                fname = f"{kind}_{name}.csv"
+                assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes(), fname
+
     def test_byte_determinism_counterexample(self, tmp_path):
         _, out_a, _ = self.run_into(tmp_path, COUNTEREXAMPLE_SMALL, "ca")
         _, out_b, _ = self.run_into(tmp_path, COUNTEREXAMPLE_SMALL, "cb")

@@ -24,6 +24,7 @@ from randbo.engine import (
     FiniteInstance,
     FixedInstanceSampler,
     RunConfig,
+    SharedInstanceSampler,
     run_bo,
     run_replications,
 )
@@ -655,9 +656,9 @@ class TestBlockPathDraws:
         """(engine's prior path, reference) per iteration, the block sizes and the kernels."""
         blocks, paths = [], []
 
-        def draw(features, n_obs, noise_variance, rng):
+        def draw(features, n_obs, *args):
             blocks.append((features, list(n_obs)))
-            return draw_prior_paths(features, n_obs, noise_variance, rng)
+            return draw_prior_paths(features, n_obs, *args)
 
         def condition(state, prior, obs_rows, V, eps):
             paths.append((prior.copy(), eps.copy(), state.kernel))
@@ -682,11 +683,14 @@ class TestBlockPathDraws:
 
     @pytest.mark.usefixtures("fresh_prior_cache")
     @pytest.mark.parametrize("kind", ["ts", "pims"])
-    @pytest.mark.parametrize("case", ["refit", "cap", "above_cap"])
+    @pytest.mark.parametrize("case", ["refit", "cap", "rows", "above_cap"])
     def test_grid_blocks_equal_per_iteration_draws(self, kind, case, monkeypatch):
         inst, seed = random_instance(5, m=30), 5
         extra, design, sizes = {}, 3, [10]
-        if case == "refit":
+        if case == "rows":
+            # The 30-point factor is multiplied in row blocks of 8.
+            monkeypatch.setattr(engine, "FACTOR_ROWS", 8)
+        elif case == "refit":
             # Refits at t = 1, 4, 7, 10 end the blocks; the kernel changes at t = 4.
             extra = dict(refit_period=3,
                          refit_grid=(se(2, ell=0.2), se(2, ell=0.4), se(2, ell=0.8)))
@@ -788,6 +792,40 @@ class _FailingSampler:
         if rep == 2:
             return _bad_instance(rep, rng)
         return self.base(rep, rng)
+
+
+class TestSharedInstanceSampler:
+    class Counting:
+        def __init__(self, fail_rep=None):
+            self.calls, self.fail_rep = [], fail_rep
+
+        def __call__(self, rep, rng):
+            self.calls.append(rep)
+            if rep == self.fail_rep:
+                raise NumericalError("injected failure")
+            return random_instance(int(rng.integers(1000)))
+
+    def test_draws_once_per_seed_and_replication(self):
+        base = self.Counting()
+        shared = SharedInstanceSampler(base)
+        first = [shared(rep, substream(7, rep, INSTANCE)) for rep in range(3)]
+        again = [shared(rep, substream(7, rep, INSTANCE)) for rep in range(3)]
+        assert all(a is b for a, b in zip(first, again))
+        assert base.calls == [0, 1, 2]
+        # Another base seed, or a generator already drawn from, draws anew.
+        assert shared(0, substream(8, 0, INSTANCE)) is not first[0]
+        used = substream(7, 0, INSTANCE)
+        used.random()
+        assert shared(0, used) is not first[0]
+        assert base.calls == [0, 1, 2, 0, 0]
+
+    def test_failed_draw_is_not_kept(self):
+        base = self.Counting(fail_rep=1)
+        shared = SharedInstanceSampler(base)
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="injected failure"):
+                shared(1, substream(7, 1, INSTANCE))
+        assert base.calls == [1, 1]
 
 
 class TestRunReplications:

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from randbo import gp
@@ -328,6 +329,27 @@ class TestCrossSolve:
         assert gp.cross_solve(state, np.zeros((4, 2))).shape == (0, 4)
 
 
+class TestSolveLower:
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_equals_solve_triangular_on_the_state_factor(self, n):
+        rng = np.random.default_rng(n)
+        state = gp.fit_state(rng.random((n, 2)), rng.normal(size=n),
+                             [se_kernel(dim=2, ell=0.5)], 1e-3, capacity=2 * n)
+        L = state.chol  # a strided view of the state's buffer
+        assert not L.flags.c_contiguous or n == 1
+        for b in (rng.normal(size=n), rng.normal(size=(n, 1000))):
+            for factor in (L, np.asfortranarray(L)):
+                np.testing.assert_array_equal(
+                    gp.solve_lower(factor, b),
+                    solve_triangular(factor, b, lower=True, check_finite=False))
+
+    def test_singular_factor_raises(self):
+        L = np.tril(np.ones((3, 3)))
+        L[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            gp.solve_lower(L, np.ones(3))
+
+
 class TestInverseFactor:
     def test_inverts_the_factor(self):
         rng = np.random.default_rng(12)
@@ -425,6 +447,22 @@ class TestFitHyperparameters:
         rebuilt = gp.batch_state(state.kernel, X, y, 1e-4)
         for name in STATE_ARRAYS:
             np.testing.assert_array_equal(getattr(state, name), getattr(rebuilt, name))
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_single_kernel_is_not_scored(self, n, monkeypatch):
+        rng = np.random.default_rng(7)
+        X, y = rng.random((n, 2)), rng.normal(size=n)
+        kernel = se_kernel(dim=2, ell=0.3)
+        scored = []
+        evidence = gp._log_evidence
+        monkeypatch.setattr(gp, "_log_evidence", lambda L, wy: scored.append(1) or evidence(L, wy))
+        state = gp.fit_state(X, y, [kernel], 1e-4, capacity=20)
+        assert scored == [] and state.kernel is kernel
+        rebuilt = gp.batch_state(kernel, X, y, 1e-4)
+        for name in STATE_ARRAYS:
+            np.testing.assert_array_equal(getattr(state, name), getattr(rebuilt, name))
+        gp.fit_state(X, y, [kernel, se_kernel(dim=2, ell=0.6)], 1e-4)
+        assert len(scored) == 2
 
     def test_capacity_lets_the_next_observation_append_in_place(self):
         rng = np.random.default_rng(6)
